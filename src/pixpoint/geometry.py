@@ -295,14 +295,12 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
         pair_vox = vox_s[starts]
         pair_lab = lab_s[starts]
         pair_cnt = np.diff(np.append(starts, vox_s.shape[0]))
-        # within a voxel, pairs are ordered by ascending label; a strictly
-        # greater count is required to displace the current winner
-        labels = np.zeros(m, dtype=np.int64)
-        best = np.full(m, -1, dtype=np.int64)
-        for pv, pl, pc in zip(pair_vox, pair_lab, pair_cnt):
-            if pc > best[pv]:
-                best[pv] = pc
-                labels[pv] = pl
+        # order each voxel's pairs by (count descending, label ascending);
+        # its first pair is the winner. Every voxel 0..m-1 has a pair.
+        win = np.lexsort((pair_lab, -pair_cnt, pair_vox))
+        first = np.ones(win.shape[0], dtype=bool)
+        first[1:] = pair_vox[win[1:]] != pair_vox[win[:-1]]
+        labels = pair_lab[win[first]]
 
     out = PointCloud(pos, col, labels)
     return VoxelizeResult(out, inverse)

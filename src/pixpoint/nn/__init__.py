@@ -21,7 +21,7 @@ from .params import (
     EncoderParams3D,
     HeadParams,
 )
-from .points import encode_points, knn_indices, point_backward, point_forward
+from .points import encode_points, knn_from_table, knn_indices, point_backward, point_forward
 
 __all__ = [
     "DEFAULT_EMBED_DIM",
@@ -40,6 +40,7 @@ __all__ = [
     "gradient_check",
     "head_backward",
     "head_forward",
+    "knn_from_table",
     "knn_indices",
     "load_checkpoint",
     "load_model_2d",

@@ -5,6 +5,13 @@ zero). Neighbour sets are canonical: ties in distance are broken by the
 lower point index and each row of the index table is sorted ascending, so
 the forward pass is exactly permutation-equivariant and the max-backward
 routes gradient to the lowest-index maximizer.
+
+The exact search works on row blocks of KNN_BLOCK_ROWS points, so its
+memory is KNN_BLOCK_ROWS x N distances, not N x N. point_forward takes the
+neighbour table from its caller. Stage 2 measures neighbours in the
+voxelised scene's own frame, before rotation: it searches each scene once
+for a wider table ordered by (distance, index) and reads the neighbours of
+the points that survive dropout from it (knn_from_table).
 """
 
 from __future__ import annotations
@@ -15,37 +22,69 @@ from ..geometry import PointCloud
 from .params import EncoderParams3D
 
 
-def knn_indices(positions: np.ndarray, k: int) -> np.ndarray:
+KNN_BLOCK_ROWS = 256
+
+
+def knn_indices(positions: np.ndarray, k: int, by_distance: bool = False) -> np.ndarray:
     """(N, k_eff) nearest-neighbour indices per point, k_eff = min(k, N).
 
-    Euclidean distances on positions; rows sorted by ascending index.
+    Euclidean distances on positions, ties to the lower index. Rows are
+    sorted by ascending index, or by (distance, index) when by_distance.
     """
     n = positions.shape[0]
     k_eff = min(k, n)
-    if k_eff == n:
-        return np.tile(np.arange(n, dtype=np.int64), (n, 1))
     sq = (positions**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (positions @ positions.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    part = np.argpartition(d2, k_eff - 1, axis=1)[:, :k_eff]
-    rows = np.arange(n)[:, None]
-    kth = d2[rows, part].max(axis=1)
-    ambiguous = np.flatnonzero((d2 <= kth[:, None]).sum(axis=1) > k_eff)
-    nb = np.sort(part, axis=1).astype(np.int64)
-    for i in ambiguous:
-        cand = np.flatnonzero(d2[i] <= kth[i])
-        order = np.lexsort((cand, d2[i, cand]))
-        nb[i] = np.sort(cand[order[:k_eff]])
+    nb = np.empty((n, k_eff), dtype=np.int64)
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        stop = min(start + KNN_BLOCK_ROWS, n)
+        rows = np.arange(stop - start)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (positions[start:stop] @ positions.T)
+        np.maximum(d2, 0.0, out=d2)
+        d2[rows, rows + start] = 0.0
+        part = np.argpartition(d2, k_eff - 1, axis=1)[:, :k_eff]
+        kth = d2[rows[:, None], part].max(axis=1)
+        ambiguous = np.flatnonzero((d2 <= kth[:, None]).sum(axis=1) > k_eff)
+        block = np.sort(part, axis=1)
+        for i in ambiguous:
+            cand = np.flatnonzero(d2[i] <= kth[i])
+            order = np.lexsort((cand, d2[i, cand]))
+            block[i] = np.sort(cand[order[:k_eff]])
+        if by_distance:
+            order = np.lexsort((block, d2[rows[:, None], block]), axis=1)
+            block = np.take_along_axis(block, order, axis=1)
+        nb[start:stop] = block
     return nb
 
 
-def point_forward(params: EncoderParams3D, positions: np.ndarray, colors: np.ndarray):
-    """Forward pass; returns (features (N,D), cache for backward)."""
+def knn_from_table(
+    table: np.ndarray, index_map: np.ndarray, positions: np.ndarray, k: int
+) -> np.ndarray:
+    """knn_indices(positions[index_map >= 0], k), read from a wider table.
+
+    table is knn_indices(positions, k_wide, by_distance=True). index_map
+    sends each point to its row among the survivors, -1 if dropped, and
+    keeps their order, so (distance, index) order carries over and the
+    first k_eff survivors of a surviving row are its exact neighbours. If
+    any row has fewer, the survivors are searched afresh.
+    """
+    survivors = np.flatnonzero(index_map >= 0)
+    k_eff = min(k, survivors.size)
+    cand = index_map[table[survivors]]
+    alive = cand >= 0
+    if (alive.sum(axis=1) < k_eff).any():
+        return knn_indices(positions[survivors], k)
+    take = alive & (np.cumsum(alive, axis=1) <= k_eff)
+    return np.sort(cand[take].reshape(-1, k_eff), axis=1)
+
+
+def point_forward(
+    params: EncoderParams3D, positions: np.ndarray, colors: np.ndarray, nb: np.ndarray
+):
+    """Forward pass over the (N, k_eff) neighbour table nb, as knn_indices
+    gives it; returns (features (N,D), cache for backward)."""
     x = np.concatenate([positions, colors], axis=1)
     h1 = np.maximum(x @ params.w1.T + params.b1, 0.0)
     h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
-    nb = knn_indices(positions, params.k)
     gathered = h2[nb]  # (N, k_eff, 32)
     agg = gathered.max(axis=1)
     arg = gathered.argmax(axis=1)  # first maximum = lowest neighbour index
@@ -105,5 +144,6 @@ def encode_points(params: EncoderParams3D, cloud: PointCloud) -> np.ndarray:
     """Per-point features (N, D); permuting input points permutes rows."""
     if len(cloud) < 1:
         raise ValueError("cloud must contain at least one point")
-    out, _ = point_forward(params, cloud.positions, cloud.colors)
+    nb = knn_indices(cloud.positions, params.k)
+    out, _ = point_forward(params, cloud.positions, cloud.colors, nb)
     return out

@@ -49,6 +49,8 @@ from .nn import (
     encode_images_forward,
     head_backward,
     head_forward,
+    knn_from_table,
+    knn_indices,
     point_backward,
     point_forward,
 )
@@ -61,6 +63,11 @@ POINTS_ONLY = "points_only"
 POINTS_AND_PIXELS = "points_and_pixels"
 
 MAX_PAIR_RETRIES = 10
+
+# Width of a scene's neighbour table in multiples of k. A surviving row
+# needs k - 1 survivors among its other 3k - 1 entries; at keep_prob 0.9
+# and k = 8 it falls short with probability about 6e-13.
+NEIGHBOUR_TABLE_FACTOR = 3
 
 
 def default_spec_2d(out_size=(64, 64)) -> TransformSpec2D:
@@ -373,6 +380,10 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     params = {f"enc.{k}": v for k, v in enc.tensors().items()}
     params.update({f"head.{k}": v for k, v in head.tensors().items()})
     state = OptimState()
+    # scene index -> neighbour table of its voxelised cloud, built on first
+    # use. The 3D transforms rotate and drop points without reordering them,
+    # so each slot reads its exact kNN, in the scene's own frame, from it.
+    tables = {}
 
     losses = np.zeros(cfg.iterations)
     gaps = np.zeros(cfg.iterations)
@@ -388,10 +399,10 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         batch = []  # (cache, point_rows, n_points)
         feats_chunks = []
         pos_chunks = []
-        for k, scene_idx in enumerate(picks):
-            vox, pose, intr, zmap = scenes[int(scene_idx)]
+        for k, scene_idx in enumerate(picks.tolist()):
+            vox, pose, intr, zmap = scenes[scene_idx]
             try:
-                cloud_aug, _, (r_aug, t_aug) = augment_cloud(
+                cloud_aug, index_map, (r_aug, t_aug) = augment_cloud(
                     vox, cfg.spec3d, derive_seed(cfg.seed, "s2aug", it, k)
                 )
             except EmptyCloud as e:
@@ -410,7 +421,11 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
             pix_r = corrs.pixel_rows()[pick]
             pix_c = corrs.pixel_columns()[pick]
 
-            out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors)
+            if scene_idx not in tables:
+                width = NEIGHBOUR_TABLE_FACTOR * enc.k
+                tables[scene_idx] = knn_indices(vox.positions, width, by_distance=True)
+            nb = knn_from_table(tables[scene_idx], index_map, vox.positions, enc.k)
+            out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb)
             feats_chunks.append(out[point_rows])
             pos_chunks.append(zmap[pix_r, pix_c])
             batch.append((cache, point_rows, out.shape[0]))

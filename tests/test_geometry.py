@@ -74,6 +74,25 @@ def oracle_voxel_count(positions, size):
     return len({tuple(math.floor(c / size) for c in p) for p in positions})
 
 
+def loop_majority_labels(labels, inverse, m):
+    """voxelize's former per-pair vote loop: pairs in (voxel, label) order,
+    a strictly greater count displaces the current winner."""
+    pair_order = np.lexsort((labels, inverse))
+    vox_s = inverse[pair_order]
+    lab_s = labels[pair_order]
+    new_pair = np.ones(vox_s.shape[0], dtype=bool)
+    new_pair[1:] = (vox_s[1:] != vox_s[:-1]) | (lab_s[1:] != lab_s[:-1])
+    starts = np.flatnonzero(new_pair)
+    pair_cnt = np.diff(np.append(starts, vox_s.shape[0]))
+    out = np.zeros(m, dtype=np.int64)
+    best = np.full(m, -1, dtype=np.int64)
+    for pv, pl, pc in zip(vox_s[starts], lab_s[starts], pair_cnt):
+        if pc > best[pv]:
+            best[pv] = pc
+            out[pv] = pl
+    return out
+
+
 # ── project / unproject ─────────────────────────────────────────────────
 
 class TestProjection:
@@ -256,6 +275,16 @@ class TestVoxelize:
         cloud = PointCloud(pts, np.zeros((3, 3)), np.array([2, 2, 0]))
         out, _ = voxelize(cloud, 0.05)
         assert out.labels[0] == 2
+
+    @pytest.mark.parametrize("seed, n_classes", [(0, 2), (1, 3), (2, 7)])
+    def test_majority_labels_match_reference_loop(self, seed, n_classes):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 1, size=(4096, 3))
+        labels = rng.integers(0, n_classes, size=4096)
+        out, index_map = voxelize(PointCloud(pts, np.full((4096, 3), 0.5), labels), 0.2)
+        expected = loop_majority_labels(labels, index_map, len(out))
+        assert out.labels.dtype == expected.dtype
+        assert np.array_equal(out.labels, expected)
 
     def test_idempotence_count_non_increasing(self):
         rng = np.random.default_rng(13)

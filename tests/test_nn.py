@@ -7,6 +7,7 @@ certified against central finite differences.
 import numpy as np
 import pytest
 
+from pixpoint.augment import PointDropout, RotationZ, TransformSpec3D, augment_cloud
 from pixpoint.errors import DegenerateEmbedding, NonFiniteLoss, ParseError
 from pixpoint.geometry import Image, PointCloud
 from pixpoint.nn import (
@@ -22,6 +23,7 @@ from pixpoint.nn import (
     gradient_check,
     head_backward,
     head_forward,
+    knn_from_table,
     knn_indices,
     load_checkpoint,
     load_model_2d,
@@ -32,6 +34,7 @@ from pixpoint.nn import (
     save_model_2d,
     save_model_3d,
 )
+from pixpoint.nn import points
 from pixpoint.nn.conv2d import conv3x3_forward
 
 
@@ -177,10 +180,11 @@ class TestPointEncoder:
         rng = np.random.default_rng(8)
         cloud = self.random_cloud(12, seed=9)
         direction = rng.normal(size=(12, 16))
+        nb = knn_indices(cloud.positions, 4)
 
         def loss_fn(tensors):
             params = EncoderParams3D.from_tensors(tensors, k=4)
-            out, cache = point_forward(params, cloud.positions, cloud.colors)
+            out, cache = point_forward(params, cloud.positions, cloud.colors, nb)
             loss = float((out * direction).sum() + 0.5 * (out**2).sum())
             grads = point_backward(params, cache, direction + out)
             return loss, grads
@@ -188,6 +192,118 @@ class TestPointEncoder:
         params = EncoderParams3D.initialize(10, k=4)
         err = gradient_check(loss_fn, params.tensors(), rng_seed=11)
         assert err < 1e-4
+
+
+def brute_knn(positions, k, by_distance=False):
+    """First min(k, N) points of each row by (distance, index), from
+    coordinate differences and np.lexsort; rows sorted ascending unless
+    by_distance."""
+    n = positions.shape[0]
+    d2 = ((positions[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
+    index = np.broadcast_to(np.arange(n), d2.shape)
+    order = np.lexsort((index, d2), axis=1)[:, : min(k, n)]
+    return order if by_distance else np.sort(order, axis=1)
+
+
+def integer_grid(side=7):
+    axes = np.arange(float(side))
+    return np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def dyadic_duplicates():
+    """Coordinates on a 1/8 grid, so the distance arithmetic is exact: 300
+    draws from 64 cells, plus one point repeated 12 times."""
+    rng = np.random.default_rng(12)
+    pos = rng.integers(0, 4, size=(300, 3)) / 8.0
+    return np.concatenate([pos, np.repeat(pos[7:8], 12, axis=0)])
+
+
+KNN_CLOUDS = {
+    # 700 rows: two full blocks and a partial one
+    "random_700": np.random.default_rng(13).uniform(-1, 1, (700, 3)),
+    # 343 rows: exact distance ties on both sides of the block edge at 256
+    "grid_7": integer_grid(),
+    "duplicates": dyadic_duplicates(),
+    "k_at_least_n": np.random.default_rng(14).uniform(-1, 1, (5, 3)),
+}
+
+
+class TestKnnIndices:
+    @pytest.mark.parametrize("name", sorted(KNN_CLOUDS))
+    @pytest.mark.parametrize("k", [1, 8, 24])
+    def test_matches_brute_force(self, name, k):
+        pos = KNN_CLOUDS[name]
+        assert np.array_equal(knn_indices(pos, k), brute_knn(pos, k))
+        assert np.array_equal(knn_indices(pos, k, by_distance=True), brute_knn(pos, k, True))
+
+    def test_rows_split_into_bounded_blocks(self, monkeypatch):
+        pos = KNN_CLOUDS["grid_7"]
+        monkeypatch.setattr(points, "KNN_BLOCK_ROWS", 50)
+        assert np.array_equal(knn_indices(pos, 8), brute_knn(pos, 8))
+
+
+def drop(mask):
+    """index_map of a dropout that keeps the rows where mask is True."""
+    index_map = np.full(mask.shape[0], -1, dtype=np.int64)
+    index_map[mask] = np.arange(int(mask.sum()))
+    return index_map
+
+
+class TestKnnFromTable:
+    K = 8
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Counts the exact searches knn_from_table starts."""
+        calls = []
+        search = points.knn_indices
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(points, "knn_indices", counted)
+        return calls
+
+    def reuse(self, pos, mask):
+        table = knn_indices(pos, 3 * self.K, by_distance=True)
+        return knn_from_table(table, drop(mask), pos, self.K)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dropout_masks_reuse_the_table(self, seed, searches):
+        pos = KNN_CLOUDS["random_700"]
+        mask = np.random.default_rng(seed).random(700) < 0.9
+        got = self.reuse(pos, mask)
+        assert searches == []
+        assert np.array_equal(got, knn_indices(pos[mask], self.K))
+        assert np.array_equal(got, brute_knn(pos[mask], self.K))
+
+    def test_row_short_of_k_survivors_falls_back(self, searches):
+        pos = KNN_CLOUDS["random_700"]
+        table = knn_indices(pos, 3 * self.K, by_distance=True)
+        mask = np.ones(700, dtype=bool)
+        mask[table[0, 1:]] = False  # row 0 keeps only itself
+        got = self.reuse(pos, mask)
+        assert searches == [int(mask.sum())]
+        assert np.array_equal(got, brute_knn(pos[mask], self.K))
+
+    @pytest.mark.parametrize("kept", [1, 3, 8])
+    def test_at_most_k_survivors(self, kept):
+        pos = KNN_CLOUDS["random_700"]
+        mask = np.zeros(700, dtype=bool)
+        mask[np.random.default_rng(kept).choice(700, size=kept, replace=False)] = True
+        got = self.reuse(pos, mask)
+        assert np.array_equal(got, np.tile(np.arange(kept), (kept, 1)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rotated_grid_keeps_the_index_tie_break(self, seed):
+        grid = integer_grid()
+        cloud = PointCloud(grid, np.full(grid.shape, 0.5))
+        spec = TransformSpec3D((RotationZ(angle_range=(0.1, 6.0)), PointDropout(keep_prob=0.8)))
+        _, index_map, _ = augment_cloud(cloud, spec, seed)
+        table = knn_indices(grid, 3 * self.K, by_distance=True)
+        got = knn_from_table(table, index_map, grid, self.K)
+        assert np.array_equal(got, brute_knn(grid[index_map >= 0], self.K))
 
 
 class TestHead:
