@@ -163,7 +163,7 @@ class CoordMap:
 
     @staticmethod
     def identity(width: int, height: int) -> "CoordMap":
-        xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+        xs, ys = _output_grid(width, height)
         return CoordMap(np.stack([xs, ys], axis=-1), np.ones((height, width), dtype=bool))
 
     @property

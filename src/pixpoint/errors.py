@@ -62,14 +62,6 @@ class PlacementFailure(PixpointError):
     """Could not place a camera in free space within the retry budget."""
 
 
-class DegenerateInput(PixpointError):
-    """All feature rows identical; 1D embedding is undefined."""
-
-
-class EmptyInput(PixpointError):
-    """An evaluation was called with no ground-truth entries."""
-
-
 class ParseError(PixpointError):
     """Malformed file content.
 
@@ -86,7 +78,3 @@ class ParseError(PixpointError):
 
 class RangeError(PixpointError):
     """A parsed value lies outside its documented range."""
-
-
-class ConfigError(PixpointError):
-    """Unknown configuration key or malformed config file."""

@@ -2,7 +2,6 @@
 
 from .checkpoint import (
     checkpoint_checksum,
-    checkpoint_kind,
     load_checkpoint,
     load_model_2d,
     load_model_3d,
@@ -31,7 +30,6 @@ __all__ = [
     "EncoderParams3D",
     "HeadParams",
     "checkpoint_checksum",
-    "checkpoint_kind",
     "decode_normalize",
     "encode_image",
     "encode_images_backward",

@@ -121,13 +121,3 @@ def load_model_3d(path):
         raise ParseError(f"{path} is not a 3D model checkpoint")
     k = int(enc.pop("k").item()) if "k" in enc else 8
     return EncoderParams3D.from_tensors(enc, k=k), HeadParams.from_tensors(head)
-
-
-def checkpoint_kind(path) -> str:
-    """'2d', '3d', or raises ParseError."""
-    tensors = load_checkpoint(path)
-    if any(k.startswith("enc2d.") for k in tensors):
-        return "2d"
-    if any(k.startswith("enc3d.") for k in tensors):
-        return "3d"
-    raise ParseError(f"{path} holds neither a 2D nor a 3D model")

@@ -269,7 +269,6 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
             raise IterationStarved(f"iteration {it}: every pair of the batch was skipped")
 
         batch = np.stack(views)
-        feats, conv_cache = encode_images_forward(enc, batch)
 
         view_ids = []
         ys = []
@@ -286,7 +285,12 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         ys = np.concatenate([ys[i] for i in order])
         xs = np.concatenate([xs[i] for i in order])
 
-        sel_feats = feats[view_ids, ys, xs]
+        # conv3 runs only at the distinct sampled pixels; one A pixel can
+        # match several B pixels, so rows gather through the inverse
+        flat = (view_ids * batch.shape[1] + ys) * batch.shape[2] + xs
+        at, inv = np.unique(flat, return_inverse=True)
+        feats, conv_cache = encode_images_forward(enc, batch, at=at)
+        sel_feats = feats[inv]
         z, head_cache = head_forward(head, sel_feats)
         audit.take(z)
         nq = z.shape[0] // 2
@@ -318,7 +322,7 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
 
         grad_sel, head_grads = head_backward(head, head_cache, grad_rows)
         grad_feats = np.zeros_like(feats)
-        np.add.at(grad_feats, (view_ids, ys, xs), grad_sel)
+        np.add.at(grad_feats, inv, grad_sel)
         enc_grads = encode_images_backward(enc, conv_cache, grad_feats)
 
         grads = {f"enc.{k}": v for k, v in enc_grads.items()}

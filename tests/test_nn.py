@@ -35,7 +35,7 @@ from pixpoint.nn import (
     save_model_3d,
 )
 from pixpoint.nn import points
-from pixpoint.nn.conv2d import conv3x3_forward
+from pixpoint.nn.conv2d import conv3x3_backward, conv3x3_forward
 
 
 def conv_oracle(x, w, b):
@@ -111,12 +111,77 @@ class TestConvEncoder:
         err = gradient_check(loss_fn, params.tensors(), rng_seed=5)
         assert err < 1e-4
 
+    def test_gradients_certified_at_sampled_pixels(self):
+        rng = np.random.default_rng(3)
+        imgs = rng.uniform(0, 1, size=(2, 6, 6, 3))
+        at = np.array([0, 5, 7, 14, 20, 30, 35, 36, 43, 50, 71])
+        direction = rng.normal(size=(at.size, 16))
+
+        def loss_fn(tensors):
+            params = EncoderParams2D.from_tensors(tensors)
+            feats, cache = encode_images_forward(params, imgs, at=at)
+            assert feats.shape == (at.size, 16)
+            loss = float((feats * direction).sum() + 0.5 * (feats**2).sum())
+            grads = encode_images_backward(params, cache, direction + feats)
+            return loss, grads
+
+        params = EncoderParams2D.initialize(4)
+        err = gradient_check(loss_fn, params.tensors(), rng_seed=5)
+        assert err < 1e-4
+
     def test_relu_mask_matches_forward_positivity(self):
         params = EncoderParams2D.initialize(6)
         imgs = np.random.default_rng(7).uniform(0, 1, size=(1, 5, 5, 3))
         feats, cache = encode_images_forward(params, imgs)
         pre1 = conv3x3_forward(imgs, params.conv1_w, params.conv1_b)
         assert np.array_equal(cache["a1"] > 0, pre1 > 0)
+
+
+class TestConvAtPositions:
+    """conv3x3_* with `at` against the dense layer's rows."""
+
+    SHAPE = (2, 7, 9, 5)
+
+    @staticmethod
+    def flat(view, y, x):
+        return (view * 7 + y) * 9 + x
+
+    @pytest.fixture
+    def layer(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=self.SHAPE)
+        w = rng.normal(size=(4, 5, 3, 3))
+        b = rng.normal(size=4)
+        # every corner and edge of both views, plus interior neighbours
+        # whose 3x3 windows overlap
+        pixels = [(v, y, x) for v in (0, 1) for y in (0, 6) for x in (0, 8)]
+        pixels += [(0, 0, 4), (0, 3, 0), (0, 3, 4), (0, 3, 5), (0, 4, 4), (1, 6, 3), (1, 2, 8)]
+        at = np.unique([self.flat(*p) for p in pixels])
+        return x, w, b, at
+
+    def test_forward_rows_equal_dense(self, layer):
+        x, w, b, at = layer
+        dense = conv3x3_forward(x, w, b).reshape(-1, 4)
+        sparse = conv3x3_forward(x, w, b, at=at)
+        assert sparse.shape == (at.size, 4)
+        assert np.array_equal(sparse, dense[at])
+
+    def test_backward_matches_dense_with_scattered_gradient(self, layer):
+        x, w, b, at = layer
+        g = np.random.default_rng(12).normal(size=(at.size, 4))
+        g_dense = np.zeros(self.SHAPE[:3] + (4,))
+        g_dense.reshape(-1, 4)[at] = g
+        gx, gw, gb = conv3x3_backward(x, w, g_dense)
+        sx, sw, sb = conv3x3_backward(x, w, g, at=at)
+        assert np.array_equal(sx, gx)
+        assert np.array_equal(sb, gb)
+        assert np.allclose(sw, gw, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("at", [[3, 2], [2, 2], [-1, 4], [0, 126], []])
+    def test_rejects_unsorted_repeated_or_out_of_range(self, layer, at):
+        x, w, b, _ = layer
+        with pytest.raises(ValueError):
+            conv3x3_forward(x, w, b, at=np.array(at, dtype=np.int64))
 
 
 class TestPointEncoder:
