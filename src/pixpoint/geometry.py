@@ -61,7 +61,7 @@ class Pose:
         t = _readonly(self.translation)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError(f"bad pose shapes {r.shape}, {t.shape}")
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-9, rtol=0):
+        if not np.abs(r.T @ r - np.eye(3)).max() <= 1e-9:  # NaN fails too
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not 1 within 1e-9")

@@ -22,6 +22,13 @@ Negative-set modes (LossConfig.negatives):
 
 Gradients are exact for all inputs, including the flow into negatives
 that alias other queries' embeddings.
+
+Queries are evaluated in row blocks of _CHUNK. Excluded cells (the self
+column, the own-positive column, exclude_columns entries) are held as
+(row, column) index pairs, not as dense masks, and each block's
+similarities, logits, exponentials and softmax coefficients are computed
+in place in one (C, K) buffer: excluded cells are set to -inf before the
+row maximum, so exponentiating zeroes them.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ _CHUNK = 1024
 class LossConfig:
     tau: float = 0.4
     negatives: object = ALL_IN_BATCH  # sentinel or explicit pool size K
-    exclude_self: bool = True
 
     def __post_init__(self):
         if isinstance(self.negatives, str):
@@ -51,8 +57,6 @@ class LossConfig:
                 raise ValueError(f"unknown negatives mode {self.negatives!r}")
         elif int(self.negatives) < 1:
             raise ValueError(f"explicit negative count must be >= 1, got {self.negatives}")
-        if not self.exclude_self:
-            raise ValueError("exclude_self is always true; a query never scores against itself")
 
 
 @dataclass
@@ -76,6 +80,24 @@ def check_unit_rows(arr: np.ndarray, what: str = "embeddings") -> None:
     err = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
     if err.size and err.max() > UNIT_TOL:
         raise NotNormalized(f"{what} row {int(err.argmax())} off unit norm by {err.max():.2e}")
+
+
+def _excluded_cells(exclude_columns, n: int, k_pool: int) -> np.ndarray:
+    """Sorted flat cells row * k_pool + column that exclude_columns names.
+
+    Negative entries are padding; a column named twice in one row counts once.
+    """
+    excl = np.asarray(exclude_columns)
+    if excl.ndim != 2 or excl.shape[0] != n or not np.issubdtype(excl.dtype, np.integer):
+        raise ValueError(
+            f"exclude_columns must be an integer (N, E) array with N = {n}, "
+            f"got {excl.dtype} {excl.shape}"
+        )
+    rows, slots = np.nonzero(excl >= 0)
+    cols = excl[rows, slots].astype(np.int64)
+    if cols.size and cols.max() >= k_pool:
+        raise ValueError(f"exclude_columns names column {cols.max()} of a {k_pool}-column pool")
+    return np.unique(rows * k_pool + cols)
 
 
 def info_nce(
@@ -116,6 +138,10 @@ def info_nce(
             )
         pool = negatives
         pos_in_pool = False
+        if exclude_columns is None:
+            excl_keys = np.empty(0, dtype=np.int64)
+        else:
+            excl_keys = _excluded_cells(exclude_columns, n, pool.shape[0])
     else:
         if negatives is not None:
             raise ValueError(f"{cfg.negatives} mode builds its own pool; do not pass one")
@@ -145,44 +171,40 @@ def info_nce(
         rows = np.arange(start, stop)
         local = rows - start
 
-        sims = q @ pool.T  # (C, K)
+        # excluded cells as (row, column) pairs: (dr, dc) leave the
+        # denominator, (nr, nc) are not negatives
+        if explicit:
+            lo, hi = np.searchsorted(excl_keys, (start * k_pool, stop * k_pool))
+            dr, dc = np.divmod(excl_keys[lo:hi], k_pool)
+            dr -= start
+        else:
+            dr, dc = local, rows  # self column
+        nr, nc = dr, dc
+        if pos_in_pool:
+            # the own-positive column is the positive term, not a negative
+            nr = np.concatenate([local, local])
+            nc = np.concatenate([rows, n + rows])
+
+        sims = q @ pool.T  # (C, K); becomes the softmax coefficients in place
         pos_sims = np.einsum("ij,ij->i", q, p)
         pos_sim_sum += float(pos_sims.sum())
+        neg_sim_sum += float(sims.sum()) - float(sims[nr, nc].sum())
+        neg_count += sims.size - nr.size
 
-        neg_mask = np.zeros(sims.shape, dtype=bool)  # True = not a negative
-        if not explicit:
-            # self column; in ALL_IN_BATCH also the own-positive column
-            neg_mask[local, rows] = True
-            if pos_in_pool:
-                neg_mask[local, n + rows] = True
-        elif exclude_columns is not None:
-            sub = exclude_columns[start:stop]
-            for e in range(sub.shape[1]):
-                col = sub[:, e]
-                ok = col >= 0
-                neg_mask[local[ok], col[ok]] = True
-        neg_sim_sum += float(sims[~neg_mask].sum())
-        neg_count += int((~neg_mask).size - neg_mask.sum())
-
-        logits = sims / tau
+        np.divide(sims, tau, out=sims)
         pos_logits = pos_sims / tau
-        # denominator = positive term + unmasked pool terms; when the pool
-        # aliases the positives the own-positive column IS the positive term
-        denom_mask = neg_mask.copy()
-        if pos_in_pool:
-            denom_mask[local, n + rows] = False
-        masked = np.where(denom_mask, -np.inf, logits)
-        row_max = np.maximum(masked.max(axis=1), pos_logits)
-        exp_masked = np.exp(masked - row_max[:, None])
-        exp_masked[denom_mask] = 0.0
-        sum_exp = exp_masked.sum(axis=1)
+        sims[dr, dc] = -np.inf
+        row_max = np.maximum(sims.max(axis=1), pos_logits)
+        np.subtract(sims, row_max[:, None], out=sims)
+        np.exp(sims, out=sims)  # exp(-inf) = 0 drops the excluded cells
+        sum_exp = sims.sum(axis=1)
         if not pos_in_pool:
             sum_exp = sum_exp + np.exp(pos_logits - row_max)
         lse = row_max + np.log(sum_exp)
         per_query[start:stop] = lse - pos_logits
 
         # softmax coefficients; gradient of L_i w.r.t. each logit
-        coeff = exp_masked / sum_exp[:, None]
+        coeff = np.divide(sims, sum_exp[:, None], out=sims)
         if pos_in_pool:
             coeff[local, n + rows] -= 1.0
             grad_q[start:stop] += coeff @ pool / tau

@@ -313,7 +313,7 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
                     exclude_columns=excl,
                 )
                 grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
-                np.add.at(grad_rows, pool_idx, out.grad_negatives)
+                grad_rows[pool_idx] += out.grad_negatives  # pool_idx has no repeats
         except FloatingPointError as e:
             raise NonFiniteLoss(
                 f"stage 1 iteration {it}: {e}; replay with seed={cfg.seed}, "
@@ -458,7 +458,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
             rows = grad_sel[offset : offset + point_rows.shape[0]]
             offset += point_rows.shape[0]
             grad_out = np.zeros((n_points, cfg.feature_dim))
-            np.add.at(grad_out, point_rows, rows)
+            grad_out[point_rows] = rows  # z-buffer winners: each point at most once
             g = point_backward(enc, cache, grad_out)
             if enc_grads is None:
                 enc_grads = g

@@ -145,8 +145,12 @@ class TestProjection:
 
 class TestPoseValidation:
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            Pose(np.eye(3) * 1.001, np.zeros(3))
+        nan_row = np.eye(3)
+        nan_row[0, 0] = np.nan
+        for r in (np.eye(3) * 1.001, np.eye(3) + 2e-9, nan_row):
+            with pytest.raises(ValueError):
+                Pose(r, np.zeros(3))
+        Pose(np.eye(3) * (1 + 2e-10), np.zeros(3))  # within 1e-9
 
     def test_rejects_reflection(self):
         r = np.diag([1.0, 1.0, -1.0])
@@ -197,6 +201,17 @@ class TestCorrespondences:
             for key in expect:
                 assert got[key][0] == expect[key][0]
                 assert np.allclose(got[key][1:], expect[key][1:], atol=1e-12)
+
+    def test_each_point_wins_at_most_one_pixel(self):
+        # stage 2 scatters point gradients by plain assignment on this
+        rng = np.random.default_rng(13)
+        intr = simple_camera(w=24, h=20, f=20.0)
+        for _ in range(20):
+            pts = rng.uniform(-1.5, 1.5, size=(600, 3))
+            pts[300:] = pts[:300]  # exact copies share a pixel and a depth
+            cs = build_correspondences(PointCloud(pts, np.full((600, 3), 0.5)), random_pose(rng), intr)
+            assert len(cs) > 0
+            assert np.unique(cs.point_index).size == len(cs)
 
     def test_zbuffer_dominance_property(self):
         rng = np.random.default_rng(3)

@@ -7,6 +7,7 @@ Scalar expectations were computed directly from the loss formula
 import numpy as np
 import pytest
 
+from pixpoint import loss
 from pixpoint.errors import BadTemperature, NotNormalized
 from pixpoint.loss import ALL_IN_BATCH, OTHER_QUERIES, LossConfig, info_nce
 from pixpoint.nn import gradient_check
@@ -61,10 +62,6 @@ class TestValidation:
         for tau in (0.0, -0.1, 1.5):
             with pytest.raises((BadTemperature, ValueError)):
                 info_nce(q, q.copy(), np.array([[0.0, 1.0]]), LossConfig(tau=tau, negatives=1))
-
-    def test_exclude_self_must_stay_true(self):
-        with pytest.raises(ValueError):
-            LossConfig(exclude_self=False)
 
     def test_pool_size_must_match_config(self):
         q = unit_rows(2, 4, 0)
@@ -234,3 +231,157 @@ class TestAlignmentStats:
         assert out.mean_positive_sim == pytest.approx(1.0)
         assert out.mean_negative_sim == pytest.approx((-1.0 + 0.0) / 2)
         assert out.alignment_gap == pytest.approx(1.5)
+
+
+def reference_info_nce(queries, positives, negatives, cfg, exclude_columns=None, chunk=1024):
+    """The dense-mask evaluation: a (C, K) boolean mask per row block and a
+    fresh array per step. Inputs are assumed valid (unit rows, right shapes).
+    Returns (total, per_query, grad_q, grad_p, grad_neg, mean_negative_sim).
+    """
+    explicit = not isinstance(cfg.negatives, str)
+    n = queries.shape[0]
+    if explicit:
+        pool, pos_in_pool = negatives, False
+    elif cfg.negatives == ALL_IN_BATCH:
+        pool, pos_in_pool = np.concatenate([queries, positives], axis=0), True
+    else:
+        pool, pos_in_pool = queries, False
+    tau = cfg.tau
+    per_query = np.empty(n)
+    grad_q = np.zeros_like(queries)
+    grad_p = np.zeros_like(positives)
+    grad_pool = np.zeros_like(pool)
+    neg_sim_sum = 0.0
+    neg_count = 0
+
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        q = queries[start:stop]
+        p = positives[start:stop]
+        rows = np.arange(start, stop)
+        local = rows - start
+
+        sims = q @ pool.T
+        pos_sims = np.einsum("ij,ij->i", q, p)
+
+        neg_mask = np.zeros(sims.shape, dtype=bool)  # True = not a negative
+        if not explicit:
+            neg_mask[local, rows] = True
+            if pos_in_pool:
+                neg_mask[local, n + rows] = True
+        elif exclude_columns is not None:
+            sub = exclude_columns[start:stop]
+            for e in range(sub.shape[1]):
+                col = sub[:, e]
+                ok = col >= 0
+                neg_mask[local[ok], col[ok]] = True
+        neg_sim_sum += float(sims[~neg_mask].sum())
+        neg_count += int((~neg_mask).size - neg_mask.sum())
+
+        logits = sims / tau
+        pos_logits = pos_sims / tau
+        denom_mask = neg_mask.copy()
+        if pos_in_pool:
+            denom_mask[local, n + rows] = False
+        masked = np.where(denom_mask, -np.inf, logits)
+        row_max = np.maximum(masked.max(axis=1), pos_logits)
+        exp_masked = np.exp(masked - row_max[:, None])
+        exp_masked[denom_mask] = 0.0
+        sum_exp = exp_masked.sum(axis=1)
+        if not pos_in_pool:
+            sum_exp = sum_exp + np.exp(pos_logits - row_max)
+        lse = row_max + np.log(sum_exp)
+        per_query[start:stop] = lse - pos_logits
+
+        coeff = exp_masked / sum_exp[:, None]
+        if pos_in_pool:
+            coeff[local, n + rows] -= 1.0
+            grad_q[start:stop] += coeff @ pool / tau
+        else:
+            p_pos = np.exp(pos_logits - row_max) / sum_exp
+            grad_q[start:stop] += (coeff @ pool + (p_pos - 1.0)[:, None] * p) / tau
+            grad_p[start:stop] += (p_pos - 1.0)[:, None] * q / tau
+        grad_pool += coeff.T @ q / tau
+
+    grad_neg = None
+    if pos_in_pool:
+        grad_q += grad_pool[:n]
+        grad_p += grad_pool[n:]
+    elif explicit:
+        grad_neg = grad_pool
+    else:
+        grad_q += grad_pool
+    mean_neg = neg_sim_sum / max(neg_count, 1)
+    return float(per_query.sum()), per_query, grad_q, grad_p, grad_neg, mean_neg
+
+
+def explicit_case(n=40, k=24, m=8, seed=30):
+    """Queries, positives and a pool whose first rows alias the queries,
+    with exclude_columns holding -1 padding, a row naming one column twice,
+    a column excluded for every query and a row excluding every column."""
+    q = unit_rows(n, m, seed)
+    p = unit_rows(n, m, seed + 1)
+    pool = np.vstack([q[: k // 2], unit_rows(k - k // 2, m, seed + 2)])
+    excl = np.full((n, k + 1), -1, dtype=np.int64)
+    for i in range(k // 2):
+        excl[i, 0] = i  # own alias
+    excl[:, 1] = k - 1  # excluded for every query
+    excl[3, 2] = excl[3, 0]  # repeated entry
+    excl[5, :k] = np.arange(k)  # every pool column
+    return q, p, pool, excl
+
+
+class TestAgainstDenseMaskReference:
+    """Index-pair exclusion and the in-place buffer change no output bit."""
+
+    def assert_matches(self, got, ref, grad_tol=0.0):
+        total, per_query, grad_q, grad_p, grad_neg, mean_neg = ref
+        assert np.array_equal(got.per_query, per_query)
+        assert got.total == total
+        for a, b in ((got.grad_queries, grad_q), (got.grad_positives, grad_p)):
+            assert np.abs(a - b).max(initial=0.0) <= grad_tol
+        if grad_neg is None:
+            assert got.grad_negatives is None
+        else:
+            assert np.abs(got.grad_negatives - grad_neg).max() <= grad_tol
+        assert got.mean_negative_sim == pytest.approx(mean_neg, abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("mode", [OTHER_QUERIES, ALL_IN_BATCH])
+    def test_batch_modes(self, mode):
+        q, p = unit_rows(50, 8, 40), unit_rows(50, 8, 41)
+        cfg = LossConfig(tau=0.3, negatives=mode)
+        self.assert_matches(info_nce(q, p, None, cfg), reference_info_nce(q, p, None, cfg))
+
+    def test_explicit_pool_without_exclusions(self):
+        q, p, pool, _ = explicit_case()
+        cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
+        self.assert_matches(info_nce(q, p, pool, cfg), reference_info_nce(q, p, pool, cfg))
+
+    def test_explicit_pool_with_exclude_columns(self):
+        q, p, pool, excl = explicit_case()
+        cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
+        got = info_nce(q, p, pool, cfg, exclude_columns=excl)
+        self.assert_matches(got, reference_info_nce(q, p, pool, cfg, excl))
+        # the fully excluded row scores its positive alone
+        assert got.per_query[5] == 0.0
+
+    @pytest.mark.parametrize("mode", [OTHER_QUERIES, ALL_IN_BATCH, "explicit"])
+    def test_ragged_row_blocks(self, mode, monkeypatch):
+        q, p, pool, excl = explicit_case()
+        if mode == "explicit":
+            cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
+        else:
+            cfg, pool, excl = LossConfig(tau=0.2, negatives=mode), None, None
+        whole = reference_info_nce(q, p, pool, cfg, excl)
+        monkeypatch.setattr(loss, "_CHUNK", 7)  # 40 rows: blocks of 7, last of 5
+        got = info_nce(q, p, pool, cfg, exclude_columns=excl)
+        self.assert_matches(got, reference_info_nce(q, p, pool, cfg, excl, chunk=7))
+        assert np.array_equal(got.per_query, whole[1])
+        self.assert_matches(got, whole, grad_tol=1e-12)
+
+    def test_malformed_exclude_columns_rejected(self):
+        q, p, pool, excl = explicit_case()
+        cfg = LossConfig(negatives=pool.shape[0])
+        for bad in (excl[:-1], excl[:, 0], excl.astype(float), np.where(excl == 0, pool.shape[0], excl)):
+            with pytest.raises(ValueError):
+                info_nce(q, p, pool, cfg, exclude_columns=bad)

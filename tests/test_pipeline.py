@@ -6,15 +6,17 @@ step's gradient, and the starved-iteration error.
 Stage 2: determinism, the untouched frozen stage-1 model, and that reading
 kNN from the per-scene neighbour tables trains exactly as an exact search
 of every slot's surviving points would.
+Both: a non-finite loss names the batch that produced it.
 """
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pixpoint import pipeline
-from pixpoint.errors import EmptyOverlap, IterationStarved
+from pixpoint.errors import EmptyOverlap, IterationStarved, NonFiniteLoss
 from pixpoint.nn import (
     EncoderParams2D,
     HeadParams,
@@ -22,6 +24,7 @@ from pixpoint.nn import (
     gradient_check,
     knn_indices,
 )
+from pixpoint.rngutil import rng_for
 from pixpoint.synthdata import SceneConfig, generate_scene
 
 DIMS = 8
@@ -167,3 +170,27 @@ def test_neighbour_tables_train_like_an_exact_search(dataset, monkeypatch):
     monkeypatch.setattr(pipeline, "knn_from_table", search_survivors)
     assert run_stage2(dataset)[0] == reused
     assert searched
+
+
+@pytest.mark.parametrize(
+    "stage, run, seed, what",
+    [(1, run_stage1, 2, "image"), (2, run_stage2, 6, "scene")],  # seeds of the run_* configs
+)
+def test_non_finite_loss_names_its_batch(dataset, monkeypatch, stage, run, seed, what):
+    real = pipeline.info_nce
+    calls = []
+
+    def fail_at_second_iteration(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FloatingPointError("non-finite loss")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "info_nce", fail_at_second_iteration)
+    picks = rng_for(seed, f"stage{stage}", 1).integers(0, len(dataset), size=3)
+    expect = (
+        f"stage {stage} iteration 1: non-finite loss; "
+        f"replay with seed={seed}, {what} indices {picks.tolist()}"
+    )
+    with pytest.raises(NonFiniteLoss, match=re.escape(expect)):
+        run(dataset)
