@@ -255,9 +255,6 @@ class VoxelizeResult:
     cloud: PointCloud
     index_map: np.ndarray = field(repr=False)  # (N,) int64, original -> output index
 
-    def __iter__(self):  # allow tuple-style unpacking
-        return iter((self.cloud, self.index_map))
-
 
 def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
     """Grid downsample: one point per occupied voxel.

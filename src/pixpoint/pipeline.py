@@ -13,13 +13,23 @@ negatives are the other sampled points (or points and pixels).
 Both stages are bit-deterministic given their config: every random draw
 derives from (seed, stage, iteration, slot) so a failed batch can be
 rebuilt in isolation.
+
+Both run the same SGD loop, `_train`. It owns the optimiser state, the
+iteration rng and batch picks, the histories and timings, the context of
+`NonFiniteLoss` and the `TrainReport`. A stage supplies only its batch
+step, `step(it, rng_iter, picks) -> (LossOutput, enc_grads, head_grads,
+n_skipped)`. The driver and the steps are private and reach every layer
+through this module's globals: `bench/tracer.py` wraps each public
+function this module holds, so a public driver would become the parent
+span of every layer call, and tests substitute `info_nce` or `sgd_step`
+here.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,7 +128,6 @@ class Stage1Config:
 class Stage2Config:
     batch_pairs: int = 8
     correspondences_per_pair: int = 256
-    crop_size: int | None = None  # centre crop; None keeps the native size
     voxel_size: float = 0.05
     tau: float = 0.4
     optim: OptimConfig = OptimConfig(lr0=0.1)
@@ -155,17 +164,6 @@ class TrainReport:
         return self.loss_history.shape[0]
 
 
-def write_report_csv(report: TrainReport, path) -> None:
-    lines = ["iteration,loss,alignment_gap,lr"]
-    for i in range(report.iterations()):
-        lines.append(
-            f"{i},{report.loss_history[i]:.17g},"
-            f"{report.gap_history[i]:.17g},{report.lr_history[i]:.17g}"
-        )
-    with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n").encode("ascii"))
-
-
 class _NormAudit:
     """Tracks |row norm - 1| over every embedding produced in a run."""
 
@@ -196,17 +194,49 @@ def pairs_from_scene(scene) -> list:
     ]
 
 
-def center_crop(image: Image, intr: CameraIntrinsics, size: int):
-    """Centre-crop to size x size, shifting the principal point to match."""
-    cw = min(size, image.width)
-    ch = min(size, image.height)
-    x0 = (image.width - cw) // 2
-    y0 = (image.height - ch) // 2
-    cropped = Image(image.pixels[y0 : y0 + ch, x0 : x0 + cw])
-    adjusted = CameraIntrinsics(
-        fx=intr.fx, fy=intr.fy, cx=intr.cx - x0, cy=intr.cy - y0, width=cw, height=ch
+# ── the training driver ──────────────────────────────────────────────────
+
+def _prefixed(enc: dict, head: dict) -> dict:
+    """One flat name -> array dict: enc.<name> and head.<name>."""
+    return {**{f"enc.{k}": v for k, v in enc.items()}, **{f"head.{k}": v for k, v in head.items()}}
+
+
+def _train(stage: int, cfg, enc, head, audit: _NormAudit, n_items: int, step) -> TrainReport:
+    """Train (enc, head) in place for cfg.iterations steps, each on a batch
+    of cfg.batch_pairs picks among n_items dataset items (step contract: see
+    the module docstring)."""
+    params = _prefixed(enc.tensors(), head.tensors())
+    state = OptimState()
+    losses, gaps, lrs, seconds = (np.zeros(cfg.iterations) for _ in range(4))
+    skipped = 0
+
+    for it in range(cfg.iterations):
+        t0 = time.perf_counter()
+        rng_iter = rng_for(cfg.seed, f"stage{stage}", it)
+        picks = rng_iter.integers(0, n_items, size=cfg.batch_pairs)
+        try:
+            out, enc_grads, head_grads, n_skipped = step(it, rng_iter, picks)
+        except FloatingPointError as e:  # only info_nce raises it
+            raise NonFiniteLoss(
+                f"stage {stage} iteration {it}: {e}; replay with seed={cfg.seed}, "
+                f"{'image' if stage == 1 else 'scene'} indices {picks.tolist()}"
+            ) from None
+        skipped += n_skipped
+
+        lrs[it] = sgd_step(params, _prefixed(enc_grads, head_grads), state, cfg.optim)
+        losses[it] = out.total
+        gaps[it] = out.alignment_gap
+        seconds[it] = time.perf_counter() - t0
+
+    return TrainReport(
+        loss_history=losses,
+        gap_history=gaps,
+        lr_history=lrs,
+        iter_seconds=seconds,
+        skipped=skipped,
+        embeddings_audited=audit.rows,
+        max_norm_error=audit.max_err,
     )
-    return cropped, adjusted
 
 
 # ── stage 1 ──────────────────────────────────────────────────────────────
@@ -220,22 +250,10 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         raise ValueError("dataset must be nonempty")
     enc = EncoderParams2D.initialize(cfg.seed, cfg.feature_dim)
     head = HeadParams.initialize(cfg.seed, cfg.feature_dim, cfg.embed_dim)
-    params = {f"enc.{k}": v for k, v in enc.tensors().items()}
-    params.update({f"head.{k}": v for k, v in head.tensors().items()})
-    state = OptimState()
     audit = _NormAudit()
 
-    losses = np.zeros(cfg.iterations)
-    gaps = np.zeros(cfg.iterations)
-    lrs = np.zeros(cfg.iterations)
-    seconds = np.zeros(cfg.iterations)
-    skipped = 0
-
-    for it in range(cfg.iterations):
-        t0 = time.perf_counter()
-        rng_iter = rng_for(cfg.seed, "stage1", it)
-        picks = rng_iter.integers(0, len(dataset), size=cfg.batch_pairs)
-
+    def step(it, rng_iter, picks):
+        skipped = 0
         views = []
         sel_a = []  # (pixels (P,2)) per pair, view index 2k
         sel_b = []
@@ -269,25 +287,14 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
             raise IterationStarved(f"iteration {it}: every pair of the batch was skipped")
 
         batch = np.stack(views)
-
-        view_ids = []
-        ys = []
-        xs = []
-        for k in range(len(sel_a)):
-            for vid, pix in ((2 * k, sel_a[k]), (2 * k + 1, sel_b[k])):
-                view_ids.append(np.full(pix.shape[0], vid))
-                xs.append(pix[:, 0])
-                ys.append(pix[:, 1])
         # row layout: all query pixels (A sides), then all positives (B sides)
-        n_pairs = len(sel_a)
-        order = [2 * k for k in range(n_pairs)] + [2 * k + 1 for k in range(n_pairs)]
-        view_ids = np.concatenate([view_ids[i] for i in order])
-        ys = np.concatenate([ys[i] for i in order])
-        xs = np.concatenate([xs[i] for i in order])
+        sel = sel_a + sel_b
+        pix = np.concatenate(sel)
+        view_ids = np.repeat(np.r_[0 : len(views) : 2, 1 : len(views) : 2], [len(p) for p in sel])
 
         # conv3 runs only at the distinct sampled pixels; one A pixel can
         # match several B pixels, so rows gather through the inverse
-        flat = (view_ids * batch.shape[1] + ys) * batch.shape[2] + xs
+        flat = (view_ids * batch.shape[1] + pix[:, 1]) * batch.shape[2] + pix[:, 0]
         at, inv = np.unique(flat, return_inverse=True)
         feats, conv_cache = encode_images_forward(enc, batch, at=at)
         sel_feats = feats[inv]
@@ -296,52 +303,31 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         nq = z.shape[0] // 2
         zq, zp = z[:nq], z[nq:]
 
-        try:
-            if cfg.negative_cap is None or cfg.negative_cap >= 2 * nq:
-                out = info_nce(zq, zp, None, LossConfig(tau=cfg.tau, negatives=ALL_IN_BATCH))
-                grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
-            else:
-                pool_idx = rng_iter.choice(2 * nq, size=cfg.negative_cap, replace=False)
-                col_of = np.full(2 * nq, -1, dtype=np.int64)
-                col_of[pool_idx] = np.arange(cfg.negative_cap)
-                excl = np.stack([col_of[:nq], col_of[nq:]], axis=1)
-                out = info_nce(
-                    zq,
-                    zp,
-                    z[pool_idx],
-                    LossConfig(tau=cfg.tau, negatives=int(cfg.negative_cap)),
-                    exclude_columns=excl,
-                )
-                grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
-                grad_rows[pool_idx] += out.grad_negatives  # pool_idx has no repeats
-        except FloatingPointError as e:
-            raise NonFiniteLoss(
-                f"stage 1 iteration {it}: {e}; replay with seed={cfg.seed}, "
-                f"image indices {picks.tolist()}"
-            ) from None
+        if cfg.negative_cap is None or cfg.negative_cap >= 2 * nq:
+            out = info_nce(zq, zp, None, LossConfig(tau=cfg.tau, negatives=ALL_IN_BATCH))
+            grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
+        else:
+            pool_idx = rng_iter.choice(2 * nq, size=cfg.negative_cap, replace=False)
+            col_of = np.full(2 * nq, -1, dtype=np.int64)
+            col_of[pool_idx] = np.arange(cfg.negative_cap)
+            excl = np.stack([col_of[:nq], col_of[nq:]], axis=1)
+            out = info_nce(
+                zq,
+                zp,
+                z[pool_idx],
+                LossConfig(tau=cfg.tau, negatives=int(cfg.negative_cap)),
+                exclude_columns=excl,
+            )
+            grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
+            grad_rows[pool_idx] += out.grad_negatives  # pool_idx has no repeats
 
         grad_sel, head_grads = head_backward(head, head_cache, grad_rows)
         grad_feats = np.zeros_like(feats)
         np.add.at(grad_feats, inv, grad_sel)
         enc_grads = encode_images_backward(enc, conv_cache, grad_feats)
+        return out, enc_grads, head_grads, skipped
 
-        grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-        grads.update({f"head.{k}": v for k, v in head_grads.items()})
-        lrs[it] = sgd_step(params, grads, state, cfg.optim)
-        losses[it] = out.total
-        gaps[it] = out.alignment_gap
-        seconds[it] = time.perf_counter() - t0
-
-    report = TrainReport(
-        loss_history=losses,
-        gap_history=gaps,
-        lr_history=lrs,
-        iter_seconds=seconds,
-        skipped=skipped,
-        embeddings_audited=audit.rows,
-        max_norm_error=audit.max_err,
-    )
-    return enc, head, report
+    return enc, head, _train(1, cfg, enc, head, audit, len(dataset), step)
 
 
 # ── stage 2 ──────────────────────────────────────────────────────────────
@@ -364,42 +350,27 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     if not dataset:
         raise ValueError("dataset must be nonempty")
     enc2d, head2d = frozen2d
-    frozen_tensors = {f"enc.{k}": v for k, v in enc2d.tensors().items()}
-    frozen_tensors.update({f"head.{k}": v for k, v in head2d.tensors().items()})
+    frozen_tensors = _prefixed(enc2d.tensors(), head2d.tensors())
     checksum_start = checkpoint_checksum(frozen_tensors)
 
     audit = _NormAudit()
     scenes = []
     for pair in dataset:
-        image, intr = pair.image, pair.intrinsics
-        if cfg.crop_size is not None:
-            image, intr = center_crop(image, intr, cfg.crop_size)
-        vox, _ = voxelize(pair.cloud, cfg.voxel_size)
-        zmap = frozen_pixel_embeddings(enc2d, head2d, image)
+        vox = voxelize(pair.cloud, cfg.voxel_size).cloud
+        zmap = frozen_pixel_embeddings(enc2d, head2d, pair.image)
         audit.take(zmap.reshape(-1, zmap.shape[-1]))
-        scenes.append((vox, pair.pose, intr, zmap))
+        scenes.append((vox, pair.pose, pair.intrinsics, zmap))
 
     enc = EncoderParams3D.initialize(cfg.seed, cfg.feature_dim, cfg.knn)
     head = HeadParams.initialize(derive_seed(cfg.seed, "head3d"), cfg.feature_dim, cfg.embed_dim)
-    params = {f"enc.{k}": v for k, v in enc.tensors().items()}
-    params.update({f"head.{k}": v for k, v in head.tensors().items()})
-    state = OptimState()
     # scene index -> neighbour table of its voxelised cloud, built on first
     # use. The 3D transforms rotate and drop points without reordering them,
     # so each slot reads its exact kNN, in the scene's own frame, from it.
     tables = {}
+    mode = OTHER_QUERIES if cfg.negative_source == POINTS_ONLY else ALL_IN_BATCH
 
-    losses = np.zeros(cfg.iterations)
-    gaps = np.zeros(cfg.iterations)
-    lrs = np.zeros(cfg.iterations)
-    seconds = np.zeros(cfg.iterations)
-    skipped = 0
-
-    for it in range(cfg.iterations):
-        t0 = time.perf_counter()
-        rng_iter = rng_for(cfg.seed, "stage2", it)
-        picks = rng_iter.integers(0, len(scenes), size=cfg.batch_pairs)
-
+    def step(it, rng_iter, picks):
+        skipped = 0
         batch = []  # (cache, point_rows, n_points)
         feats_chunks = []
         pos_chunks = []
@@ -440,15 +411,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         positives = np.concatenate(pos_chunks)
         zq, head_cache = head_forward(head, sel_feats)
         audit.take(zq)
-
-        mode = OTHER_QUERIES if cfg.negative_source == POINTS_ONLY else ALL_IN_BATCH
-        try:
-            out = info_nce(zq, positives, None, LossConfig(tau=cfg.tau, negatives=mode))
-        except FloatingPointError as e:
-            raise NonFiniteLoss(
-                f"stage 2 iteration {it}: {e}; replay with seed={cfg.seed}, "
-                f"scene indices {picks.tolist()}"
-            ) from None
+        out = info_nce(zq, positives, None, LossConfig(tau=cfg.tau, negatives=mode))
 
         # the frozen targets receive no gradient: out.grad_positives is dropped
         grad_sel, head_grads = head_backward(head, head_cache, out.grad_queries)
@@ -460,28 +423,10 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
             grad_out = np.zeros((n_points, cfg.feature_dim))
             grad_out[point_rows] = rows  # z-buffer winners: each point at most once
             g = point_backward(enc, cache, grad_out)
-            if enc_grads is None:
-                enc_grads = g
-            else:
-                for name in enc_grads:
-                    enc_grads[name] += g[name]
+            enc_grads = g if enc_grads is None else {name: enc_grads[name] + g[name] for name in g}
+        return out, enc_grads, head_grads, skipped
 
-        grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-        grads.update({f"head.{k}": v for k, v in head_grads.items()})
-        lrs[it] = sgd_step(params, grads, state, cfg.optim)
-        losses[it] = out.total
-        gaps[it] = out.alignment_gap
-        seconds[it] = time.perf_counter() - t0
-
-    report = TrainReport(
-        loss_history=losses,
-        gap_history=gaps,
-        lr_history=lrs,
-        iter_seconds=seconds,
-        skipped=skipped,
-        embeddings_audited=audit.rows,
-        max_norm_error=audit.max_err,
-        frozen_checksum_start=checksum_start,
-        frozen_checksum_end=checkpoint_checksum(frozen_tensors),
-    )
+    report = _train(2, cfg, enc, head, audit, len(scenes), step)
+    report.frozen_checksum_start = checksum_start
+    report.frozen_checksum_end = checkpoint_checksum(frozen_tensors)
     return enc, head, report

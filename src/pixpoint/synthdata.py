@@ -243,25 +243,18 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
         rects.extend(_box_rects(box, cls, next_obj))
         next_obj += 1
 
-    jitter = {
-        obj: rng.uniform(-cfg.color_jitter, cfg.color_jitter, size=3)
-        for obj in range(next_obj)
-    }
+    jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, size=(next_obj, 3))
 
     areas = np.array([r.area for r in rects])
     probs = areas / areas.sum()
     choice = rng.choice(len(rects), size=cfg.n_points, p=probs)
     st = rng.uniform(0.0, 1.0, size=(cfg.n_points, 2))
-    positions = np.empty((cfg.n_points, 3))
-    colors = np.empty((cfg.n_points, 3))
-    labels = np.empty(cfg.n_points, dtype=np.int64)
-    palette = np.asarray(cfg.palette, dtype=np.float64)
-    for i, ri in enumerate(choice):
-        r = rects[ri]
-        positions[i] = r.origin + st[i, 0] * r.e1 + st[i, 1] * r.e2
-        colors[i] = palette[r.class_id] + jitter[r.object_id]
-        labels[i] = r.class_id
-    np.clip(colors, 0.0, 1.0, out=colors)
+    origin, e1, e2, labels, obj = (
+        np.array([getattr(r, name) for r in rects])[choice]
+        for name in ("origin", "e1", "e2", "class_id", "object_id")
+    )
+    positions = origin + st[:, :1] * e1 + st[:, 1:] * e2
+    colors = np.clip(np.asarray(cfg.palette, dtype=np.float64)[labels] + jitter[obj], 0.0, 1.0)
     cloud = PointCloud(positions, colors, labels)
 
     w, h = cfg.image_size

@@ -258,7 +258,8 @@ class TestVoxelize:
             np.array([[0.01, 0.01, 0.01], [0.04, 0.02, 0.03]]),
             np.array([[0.2, 0.2, 0.2], [0.4, 0.4, 0.4]]),
         )
-        out, index_map = voxelize(cloud, 0.05)
+        res = voxelize(cloud, 0.05)
+        out, index_map = res.cloud, res.index_map
         assert len(out) == 1
         assert np.allclose(out.positions[0], (0.025, 0.015, 0.02))
         assert np.allclose(out.colors[0], 0.3)
@@ -266,14 +267,15 @@ class TestVoxelize:
 
     def test_floor_convention_splits_at_boundary(self):
         cloud = PointCloud(np.array([[0.04, 0, 0], [0.06, 0, 0]]), np.zeros((2, 3)))
-        out, _ = voxelize(cloud, 0.05)
+        out = voxelize(cloud, 0.05).cloud
         assert len(out) == 2
 
     def test_count_matches_hash_oracle(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, size=(1000, 3))
         cloud = PointCloud(pts, np.full((1000, 3), 0.5))
-        out, index_map = voxelize(cloud, 0.05)
+        res = voxelize(cloud, 0.05)
+        out, index_map = res.cloud, res.index_map
         assert len(out) == oracle_voxel_count(pts, 0.05)
         assert index_map.shape == (1000,)
         assert index_map.min() >= 0 and index_map.max() == len(out) - 1
@@ -282,13 +284,13 @@ class TestVoxelize:
         pts = np.array([[0.01, 0, 0], [0.02, 0, 0], [0.03, 0, 0], [0.04, 0, 0]])
         labels = np.array([3, 1, 3, 1])
         cloud = PointCloud(pts, np.zeros((4, 3)), labels)
-        out, _ = voxelize(cloud, 0.05)
+        out = voxelize(cloud, 0.05).cloud
         assert out.labels[0] == 1
 
     def test_majority_label_plain(self):
         pts = np.zeros((3, 3)) + [[0.01, 0, 0], [0.02, 0, 0], [0.03, 0, 0]]
         cloud = PointCloud(pts, np.zeros((3, 3)), np.array([2, 2, 0]))
-        out, _ = voxelize(cloud, 0.05)
+        out = voxelize(cloud, 0.05).cloud
         assert out.labels[0] == 2
 
     @pytest.mark.parametrize("seed, n_classes", [(0, 2), (1, 3), (2, 7)])
@@ -296,7 +298,8 @@ class TestVoxelize:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 1, size=(4096, 3))
         labels = rng.integers(0, n_classes, size=4096)
-        out, index_map = voxelize(PointCloud(pts, np.full((4096, 3), 0.5), labels), 0.2)
+        res = voxelize(PointCloud(pts, np.full((4096, 3), 0.5), labels), 0.2)
+        out, index_map = res.cloud, res.index_map
         expected = loop_majority_labels(labels, index_map, len(out))
         assert out.labels.dtype == expected.dtype
         assert np.array_equal(out.labels, expected)
@@ -305,15 +308,16 @@ class TestVoxelize:
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 1, size=(2000, 3))
         cloud = PointCloud(pts, np.full((2000, 3), 0.5))
-        once, _ = voxelize(cloud, 0.07)
-        twice, _ = voxelize(once, 0.07)
+        once = voxelize(cloud, 0.07).cloud
+        twice = voxelize(once, 0.07).cloud
         assert len(twice) <= len(once)
 
     def test_index_map_consistent_with_membership(self):
         rng = np.random.default_rng(17)
         pts = rng.uniform(-1, 1, size=(300, 3))
         cloud = PointCloud(pts, np.full((300, 3), 0.5))
-        out, index_map = voxelize(cloud, 0.1)
+        res = voxelize(cloud, 0.1)
+        out, index_map = res.cloud, res.index_map
         keys = np.floor(pts / 0.1).astype(int)
         out_keys = np.floor(out.positions / 0.1).astype(int)
         # every original point's voxel key matches its representative's key

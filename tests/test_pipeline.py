@@ -1,29 +1,33 @@
 """Both training stages run end to end on tiny configurations.
 
 Stage 1: determinism, that computing conv3 only at the sampled pixels
-trains as the dense encoder does, a finite-difference check of one whole
-step's gradient, and the starved-iteration error.
+trains as the dense encoder does, and the starved-iteration error.
 Stage 2: determinism, the untouched frozen stage-1 model, and that reading
 kNN from the per-scene neighbour tables trains exactly as an exact search
 of every slot's surviving points would.
-Both: a non-finite loss names the batch that produced it.
+Both: a finite-difference check of one whole step's gradient, skipped
+slots counted with the learning rate still following the schedule, and a
+non-finite loss naming the batch that produced it.
 """
 
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pixpoint import pipeline
-from pixpoint.errors import EmptyOverlap, IterationStarved, NonFiniteLoss
+from pixpoint.errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss
 from pixpoint.nn import (
     EncoderParams2D,
+    EncoderParams3D,
     HeadParams,
     checkpoint_checksum,
     gradient_check,
     knn_indices,
 )
+from pixpoint.optim import lr_schedule
 from pixpoint.rngutil import rng_for
 from pixpoint.synthdata import SceneConfig, generate_scene
 
@@ -38,23 +42,40 @@ def dataset():
     return [pair for scene in scenes for pair in pipeline.pairs_from_scene(scene)]
 
 
-def run_stage1(dataset, iterations=3):
-    cfg = pipeline.Stage1Config(
-        batch_pairs=3,
-        pixels_per_pair=96,
-        iterations=iterations,
-        spec_a=pipeline.default_spec_2d((24, 24)),
-        spec_b=pipeline.default_spec_2d((24, 24)),
-        feature_dim=DIMS,
-        embed_dim=DIMS,
-        negative_cap=64,
-        seed=2,
-    )
-    images = [pair.image for pair in dataset]
-    enc, head, report = pipeline.pretrain_2d(images, cfg)
+STAGE1 = pipeline.Stage1Config(
+    batch_pairs=3,
+    pixels_per_pair=96,
+    iterations=3,
+    spec_a=pipeline.default_spec_2d((24, 24)),
+    spec_b=pipeline.default_spec_2d((24, 24)),
+    feature_dim=DIMS,
+    embed_dim=DIMS,
+    negative_cap=64,
+    seed=2,
+)
+
+STAGE2 = pipeline.Stage2Config(
+    batch_pairs=3,
+    correspondences_per_pair=32,
+    voxel_size=0.1,
+    iterations=4,
+    feature_dim=DIMS,
+    embed_dim=DIMS,
+    knn=4,
+    seed=6,
+)
+
+
+def tensors_of(enc, head):
     params = {f"enc.{k}": v for k, v in enc.tensors().items()}
     params.update({f"head.{k}": v for k, v in head.tensors().items()})
-    return params, report
+    return params
+
+
+def run_stage1(dataset, **changes):
+    images = [pair.image for pair in dataset]
+    enc, head, report = pipeline.pretrain_2d(images, replace(STAGE1, **changes))
+    return tensors_of(enc, head), report
 
 
 def test_stage1_two_runs_are_bit_identical(dataset):
@@ -97,9 +118,10 @@ def test_stage1_sampled_conv3_trains_like_the_dense_encoder(dataset, monkeypatch
         assert np.allclose(sampled[name], dense[name], rtol=0.0, atol=1e-10), name
 
 
-def test_stage1_step_gradient_matches_finite_differences(dataset, monkeypatch):
-    # the first step's loss as a function of the initial parameters, with
-    # the gradient the step hands to the optimiser
+def step_gradient_error(dataset, monkeypatch, run, encoder, **extra):
+    """Max relative error, at 30 coordinates, between the gradient the first
+    step hands to the optimiser and finite differences of that step's loss
+    as a function of the initial parameters."""
     grads = {}
     monkeypatch.setattr(pipeline, "sgd_step", lambda params, g, state, cfg: grads.update(g) or 0.0)
 
@@ -108,14 +130,19 @@ def test_stage1_step_gradient_matches_finite_differences(dataset, monkeypatch):
         for name, value in tensors.items():
             prefix, field = name.split(".")
             part[prefix][field] = value
-        enc, head = EncoderParams2D.from_tensors(part["enc"]), HeadParams.from_tensors(part["head"])
-        monkeypatch.setattr(pipeline, "EncoderParams2D", SimpleNamespace(initialize=lambda *a: enc))
+        enc = encoder.from_tensors(part["enc"], **extra)
+        head = HeadParams.from_tensors(part["head"])
+        monkeypatch.setattr(pipeline, encoder.__name__, SimpleNamespace(initialize=lambda *a: enc))
         monkeypatch.setattr(pipeline, "HeadParams", SimpleNamespace(initialize=lambda *a: head))
-        _, report = run_stage1(dataset, iterations=1)
+        _, report = run(dataset, iterations=1)
         return float(report.loss_history[0]), dict(grads)
 
-    start, _ = run_stage1(dataset, iterations=1)  # the stub step leaves them initial
-    assert gradient_check(loss_fn, start, eps=1e-6, rng_seed=3, n_coords=30) < 1e-4
+    start, _ = run(dataset, iterations=1)  # the stub step leaves them initial
+    return gradient_check(loss_fn, start, eps=1e-6, rng_seed=3, n_coords=30)
+
+
+def test_stage1_step_gradient_matches_finite_differences(dataset, monkeypatch):
+    assert step_gradient_error(dataset, monkeypatch, run_stage1, EncoderParams2D) < 1e-4
 
 
 def test_stage1_starved_iteration_names_it(dataset, monkeypatch):
@@ -127,28 +154,16 @@ def test_stage1_starved_iteration_names_it(dataset, monkeypatch):
         run_stage1(dataset)
 
 
-def run_stage2(dataset):
+def run_stage2(dataset, **changes):
     frozen = (EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS))
-    cfg = pipeline.Stage2Config(
-        batch_pairs=3,
-        correspondences_per_pair=32,
-        voxel_size=0.1,
-        iterations=4,
-        feature_dim=DIMS,
-        embed_dim=DIMS,
-        knn=4,
-        seed=6,
-    )
-    enc, head, report = pipeline.pretrain_3d(dataset, frozen, cfg)
-    params = {f"enc.{k}": v for k, v in enc.tensors().items()}
-    params.update({f"head.{k}": v for k, v in head.tensors().items()})
-    return checkpoint_checksum(params), report
+    enc, head, report = pipeline.pretrain_3d(dataset, frozen, replace(STAGE2, **changes))
+    return tensors_of(enc, head), report
 
 
 def test_two_runs_are_bit_identical(dataset):
     first, report_a = run_stage2(dataset)
     second, report_b = run_stage2(dataset)
-    assert first == second
+    assert checkpoint_checksum(first) == checkpoint_checksum(second)
     assert np.array_equal(report_a.loss_history, report_b.loss_history)
     assert np.all(np.isfinite(report_a.loss_history))
 
@@ -168,13 +183,45 @@ def test_neighbour_tables_train_like_an_exact_search(dataset, monkeypatch):
         return knn_indices(positions[index_map >= 0], k)
 
     monkeypatch.setattr(pipeline, "knn_from_table", search_survivors)
-    assert run_stage2(dataset)[0] == reused
+    assert checkpoint_checksum(run_stage2(dataset)[0]) == checkpoint_checksum(reused)
     assert searched
+
+
+def test_stage2_step_gradient_matches_finite_differences(dataset, monkeypatch):
+    error = step_gradient_error(dataset, monkeypatch, run_stage2, EncoderParams3D, k=STAGE2.knn)
+    assert error < 1e-4
+
+
+@pytest.mark.parametrize(
+    "run, cfg, name, failures, error",
+    [
+        # the first pair of iteration 0 fails every retry
+        (run_stage1, STAGE1, "match_positive_pixels", pipeline.MAX_PAIR_RETRIES, EmptyOverlap),
+        (run_stage2, STAGE2, "augment_cloud", 1, EmptyCloud),
+    ],
+    ids=["stage1", "stage2"],
+)
+def test_skipped_slot_is_counted(dataset, monkeypatch, run, cfg, name, failures, error):
+    real = getattr(pipeline, name)
+    calls = []
+
+    def fail_first_calls(*args):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise error("injected")
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, name, fail_first_calls)
+    optim = replace(cfg.optim, decay_every=1)  # a new rate at every step
+    _, report = run(dataset, optim=optim)
+    assert report.skipped == 1
+    for it in range(report.iterations()):
+        assert report.lr_history[it] == lr_schedule(it, optim)
 
 
 @pytest.mark.parametrize(
     "stage, run, seed, what",
-    [(1, run_stage1, 2, "image"), (2, run_stage2, 6, "scene")],  # seeds of the run_* configs
+    [(1, run_stage1, STAGE1.seed, "image"), (2, run_stage2, STAGE2.seed, "scene")],
 )
 def test_non_finite_loss_names_its_batch(dataset, monkeypatch, stage, run, seed, what):
     real = pipeline.info_nce

@@ -1,8 +1,10 @@
-"""Scene generator: determinism, ground-truth exactness, sampling statistics."""
+"""Scene generator: determinism, ground-truth exactness, sampling statistics,
+and the vectorised surface sampling against its per-point loop."""
 
 import numpy as np
 import pytest
 
+from pixpoint import synthdata
 from pixpoint.errors import PlacementFailure
 from pixpoint.geometry import OutOfView, project_point
 from pixpoint.rngutil import rng_for
@@ -19,6 +21,39 @@ def small_cfg(**kw):
     base = dict(n_points=1000, n_cameras=2, image_size=(48, 48), seed=3)
     base.update(kw)
     return SceneConfig(**base)
+
+
+def loop_surface_points(rects, choice, st, palette, jitter):
+    """The per-point loop generate_scene used before it was vectorised."""
+    n = len(choice)
+    positions = np.empty((n, 3))
+    colors = np.empty((n, 3))
+    labels = np.empty(n, dtype=np.int64)
+    for i, ri in enumerate(choice):
+        r = rects[ri]
+        positions[i] = r.origin + st[i, 0] * r.e1 + st[i, 1] * r.e2
+        colors[i] = palette[r.class_id] + jitter[r.object_id]
+        labels[i] = r.class_id
+    np.clip(colors, 0.0, 1.0, out=colors)
+    return positions, colors, labels
+
+
+class RecordingRng:
+    """Passes each call through to a Generator and records (method, result)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, out))
+            return out
+
+        return call
 
 
 class TestGenerateScene:
@@ -61,6 +96,33 @@ class TestGenerateScene:
             assert np.array_equal(va.image.pixels, vb.image.pixels)
         c = generate_scene(small_cfg(seed=10))
         assert not np.array_equal(a.cloud.positions, c.cloud.positions)
+
+    @pytest.mark.parametrize("seed, n_points", [(0, 400), (1, 2048), (2, 4096)])
+    def test_points_match_the_per_point_loop(self, monkeypatch, seed, n_points):
+        rects, rngs = [], []
+        real_rect, real_rng_for = synthdata.Rect, synthdata.rng_for
+
+        def recording_rect(*args):
+            rects.append(real_rect(*args))
+            return rects[-1]
+
+        def recording_rng_for(*args):
+            rngs.append(RecordingRng(real_rng_for(*args)))
+            return rngs[-1]
+
+        monkeypatch.setattr(synthdata, "Rect", recording_rect)
+        monkeypatch.setattr(synthdata, "rng_for", recording_rng_for)
+        cfg = small_cfg(n_points=n_points, seed=seed)
+        scene = generate_scene(cfg)
+        # the surface draws: object jitter, rect per point, then (s, t) per point
+        (calls,) = [rng.calls for rng in rngs]
+        at = [name for name, _ in calls].index("choice")
+        jitter, choice, st = (out for _, out in calls[at - 1 : at + 2])
+        expected = loop_surface_points(rects, choice, st, np.asarray(cfg.palette), jitter)
+        cloud = scene.cloud
+        for got, want in zip((cloud.positions, cloud.colors, cloud.labels), expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_label_coverage(self):
         for seed in range(5):
