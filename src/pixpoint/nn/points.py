@@ -9,9 +9,14 @@ routes gradient to the lowest-index maximizer.
 The exact search works on row blocks of KNN_BLOCK_ROWS points, so its
 memory is KNN_BLOCK_ROWS x N distances, not N x N. point_forward takes the
 neighbour table from its caller. Stage 2 measures neighbours in the
-voxelised scene's own frame, before rotation: it searches each scene once
-for a wider table ordered by (distance, index) and reads the neighbours of
-the points that survive dropout from it (knn_from_table).
+voxelised scan's own frame, before rotation: it searches each distinct
+scan once for a wider table ordered by (distance, index) and reads the
+neighbours of the points that survive dropout from it (knn_from_table).
+
+point_forward returns features only at the requested rows. The per-point
+MLP runs on every point, because neighbours read its output; the max
+aggregation and the output MLP run at the rows only. Stage 2 asks for the
+points its loss samples, encode_points for all of them.
 """
 
 from __future__ import annotations
@@ -77,35 +82,52 @@ def knn_from_table(
     return np.sort(cand[take].reshape(-1, k_eff), axis=1)
 
 
+def _check_rows(rows: np.ndarray, n: int) -> None:
+    if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"rows must be a nonempty 1-D integer array, got {rows.dtype} {rows.shape}")
+    if rows.min() < 0 or rows.max() >= n or np.unique(rows).size != rows.size:
+        raise ValueError(f"rows must be unique and within [0, {n})")
+
+
 def point_forward(
-    params: EncoderParams3D, positions: np.ndarray, colors: np.ndarray, nb: np.ndarray
+    params: EncoderParams3D,
+    positions: np.ndarray,
+    colors: np.ndarray,
+    nb: np.ndarray,
+    rows: np.ndarray,
 ):
     """Forward pass over the (N, k_eff) neighbour table nb, as knn_indices
-    gives it; returns (features (N,D), cache for backward)."""
+    gives it, evaluated at the unique point indices rows; returns
+    (features (len(rows), D), cache for backward)."""
+    _check_rows(rows, positions.shape[0])
     x = np.concatenate([positions, colors], axis=1)
     h1 = np.maximum(x @ params.w1.T + params.b1, 0.0)
     h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
-    gathered = h2[nb]  # (N, k_eff, 32)
+    nb_rows = nb[rows]
+    gathered = h2[nb_rows]  # (R, k_eff, 32)
     agg = gathered.max(axis=1)
     arg = gathered.argmax(axis=1)  # first maximum = lowest neighbour index
-    c = np.concatenate([h2, agg], axis=1)
+    c = np.concatenate([h2[rows], agg], axis=1)
     g1 = np.maximum(c @ params.v1.T + params.d1, 0.0)
     out = g1 @ params.v2.T + params.d2
-    cache = {"x": x, "h1": h1, "h2": h2, "nb": nb, "arg": arg, "c": c, "g1": g1}
+    winners = np.take_along_axis(nb_rows, arg, axis=1)  # (R, 32) source row per channel
+    cache = {"x": x, "h1": h1, "h2": h2, "rows": rows, "winners": winners, "c": c, "g1": g1}
     return out, cache
 
 
 def point_backward(params: EncoderParams3D, cache: dict, grad_out: np.ndarray) -> dict:
-    x, h1, h2, nb, arg, c, g1 = (
+    """Gradients of every tensor from grad_out, (len(rows), D): the
+    gradient of the rows point_forward returned."""
+    x, h1, h2, rows, winners, c, g1 = (
         cache["x"],
         cache["h1"],
         cache["h2"],
-        cache["nb"],
-        cache["arg"],
+        cache["rows"],
+        cache["winners"],
         cache["c"],
         cache["g1"],
     )
-    n, width = h2.shape
+    width = h2.shape[1]
 
     grad_g1 = grad_out @ params.v2
     grad_g1 *= g1 > 0.0
@@ -115,11 +137,10 @@ def point_backward(params: EncoderParams3D, cache: dict, grad_out: np.ndarray) -
     grad_v1 = grad_g1.T @ c
     grad_d1 = grad_g1.sum(axis=0)
 
-    grad_h2 = grad_c[:, :width].copy()
-    grad_agg = grad_c[:, width:]
-    winner_rows = nb[np.arange(n)[:, None], arg]  # (N, 32) source row per channel
-    cols = np.broadcast_to(np.arange(width), (n, width))
-    np.add.at(grad_h2, (winner_rows.ravel(), cols.ravel()), grad_agg.ravel())
+    grad_h2 = np.zeros_like(h2)
+    grad_h2[rows] = grad_c[:, :width]  # rows are unique
+    cols = np.broadcast_to(np.arange(width), winners.shape)
+    np.add.at(grad_h2, (winners.ravel(), cols.ravel()), grad_c[:, width:].ravel())
 
     grad_h2 *= h2 > 0.0
     grad_h1 = grad_h2 @ params.w2
@@ -145,5 +166,5 @@ def encode_points(params: EncoderParams3D, cloud: PointCloud) -> np.ndarray:
     if len(cloud) < 1:
         raise ValueError("cloud must contain at least one point")
     nb = knn_indices(cloud.positions, params.k)
-    out, _ = point_forward(params, cloud.positions, cloud.colors, nb)
+    out, _ = point_forward(params, cloud.positions, cloud.colors, nb, np.arange(len(cloud)))
     return out

@@ -8,7 +8,10 @@ sampled pixels of the whole batch (optionally capped via negative_cap).
 Stage 2 freezes the 2D model, precomputes a unit-norm embedding per pixel
 of every scene image, and trains the 3D encoder + head so point
 embeddings match the frozen pixel embedding at their projected pixel;
-negatives are the other sampled points (or points and pixels).
+negatives are the other sampled points (or points and pixels). Each
+distinct scan is voxelised once, and its neighbour table is built once,
+when a slot first needs it, for every image that sees the scan. The
+point head runs only at the sampled points.
 
 Both stages are bit-deterministic given their config: every random draw
 derives from (seed, stage, iteration, slot) so a failed batch can be
@@ -120,6 +123,8 @@ class Stage1Config:
             raise ValueError("pixels_per_pair must be >= 2")
         if self.batch_pairs < 1:
             raise ValueError("batch_pairs must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
         if self.negative_cap is not None and self.negative_cap < 1:
             raise ValueError("negative_cap must be >= 1 or None")
 
@@ -140,6 +145,10 @@ class Stage2Config:
     seed: int = 0
 
     def __post_init__(self):
+        if self.batch_pairs < 1:
+            raise ValueError("batch_pairs must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
         if self.correspondences_per_pair < 2:
             raise ValueError("correspondences_per_pair must be >= 2")
         if self.negative_source not in (POINTS_ONLY, POINTS_AND_PIXELS):
@@ -345,7 +354,9 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
 
     dataset is a list of ScenePair; frozen2d is (EncoderParams2D,
     HeadParams), never updated. Returns (EncoderParams3D, HeadParams,
-    TrainReport).
+    TrainReport). Pairs that share one PointCloud object, as the pairs of
+    pairs_from_scene do, share its voxelisation and its neighbour table;
+    the cloud is frozen, so this equals giving each pair its own copy.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -354,24 +365,27 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     checksum_start = checkpoint_checksum(frozen_tensors)
 
     audit = _NormAudit()
+    voxelised = {}  # id(pair.cloud) -> its voxelised cloud, one per scan
     scenes = []
     for pair in dataset:
-        vox = voxelize(pair.cloud, cfg.voxel_size).cloud
+        if id(pair.cloud) not in voxelised:
+            voxelised[id(pair.cloud)] = voxelize(pair.cloud, cfg.voxel_size).cloud
+        vox = voxelised[id(pair.cloud)]
         zmap = frozen_pixel_embeddings(enc2d, head2d, pair.image)
         audit.take(zmap.reshape(-1, zmap.shape[-1]))
         scenes.append((vox, pair.pose, pair.intrinsics, zmap))
 
     enc = EncoderParams3D.initialize(cfg.seed, cfg.feature_dim, cfg.knn)
     head = HeadParams.initialize(derive_seed(cfg.seed, "head3d"), cfg.feature_dim, cfg.embed_dim)
-    # scene index -> neighbour table of its voxelised cloud, built on first
-    # use. The 3D transforms rotate and drop points without reordering them,
-    # so each slot reads its exact kNN, in the scene's own frame, from it.
+    # id(voxelised cloud) -> its neighbour table, built on first use. The 3D
+    # transforms rotate and drop points without reordering them, so each
+    # slot reads its exact kNN, in the scan's own frame, from it.
     tables = {}
     mode = OTHER_QUERIES if cfg.negative_source == POINTS_ONLY else ALL_IN_BATCH
 
     def step(it, rng_iter, picks):
         skipped = 0
-        batch = []  # (cache, point_rows, n_points)
+        caches = []
         feats_chunks = []
         pos_chunks = []
         for k, scene_idx in enumerate(picks.tolist()):
@@ -392,19 +406,19 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
                 continue
             n_take = min(cfg.correspondences_per_pair, len(corrs))
             pick = rng_for(cfg.seed, "s2pick", it, k).choice(len(corrs), size=n_take, replace=False)
-            point_rows = corrs.point_index[pick]
+            point_rows = corrs.point_index[pick]  # z-buffer winners: unique
             pix_r = corrs.pixel_rows()[pick]
             pix_c = corrs.pixel_columns()[pick]
 
-            if scene_idx not in tables:
+            if id(vox) not in tables:
                 width = NEIGHBOUR_TABLE_FACTOR * enc.k
-                tables[scene_idx] = knn_indices(vox.positions, width, by_distance=True)
-            nb = knn_from_table(tables[scene_idx], index_map, vox.positions, enc.k)
-            out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb)
-            feats_chunks.append(out[point_rows])
+                tables[id(vox)] = knn_indices(vox.positions, width, by_distance=True)
+            nb = knn_from_table(tables[id(vox)], index_map, vox.positions, enc.k)
+            out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb, point_rows)
+            feats_chunks.append(out)
             pos_chunks.append(zmap[pix_r, pix_c])
-            batch.append((cache, point_rows, out.shape[0]))
-        if not batch:
+            caches.append(cache)
+        if not caches:
             raise IterationStarved(f"iteration {it}: every scene of the batch was skipped")
 
         sel_feats = np.concatenate(feats_chunks)
@@ -417,12 +431,9 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         grad_sel, head_grads = head_backward(head, head_cache, out.grad_queries)
         enc_grads = None
         offset = 0
-        for cache, point_rows, n_points in batch:
-            rows = grad_sel[offset : offset + point_rows.shape[0]]
-            offset += point_rows.shape[0]
-            grad_out = np.zeros((n_points, cfg.feature_dim))
-            grad_out[point_rows] = rows  # z-buffer winners: each point at most once
-            g = point_backward(enc, cache, grad_out)
+        for cache, feats in zip(caches, feats_chunks):
+            g = point_backward(enc, cache, grad_sel[offset : offset + feats.shape[0]])
+            offset += feats.shape[0]
             enc_grads = g if enc_grads is None else {name: enc_grads[name] + g[name] for name in g}
         return out, enc_grads, head_grads, skipped
 

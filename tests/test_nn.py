@@ -241,15 +241,51 @@ class TestPointEncoder:
             feats.append(mat(params.v2.tolist(), g1, params.d2.tolist()))
         assert np.allclose(got, np.array(feats), atol=1e-12)
 
+    def test_rows_match_the_dense_encoder(self):
+        params = EncoderParams3D.initialize(12, k=5)
+        cloud = self.random_cloud(30, seed=13)
+        nb = knn_indices(cloud.positions, 5)
+        rows = np.array([17, 3, 29, 0, 9, 22, 4])  # unsorted, both ends
+        grad_rows = np.random.default_rng(14).normal(size=(rows.size, 16))
+        dense, dense_cache = point_forward(
+            params, cloud.positions, cloud.colors, nb, np.arange(len(cloud))
+        )
+        got, cache = point_forward(params, cloud.positions, cloud.colors, nb, rows)
+        # the gather and max are exact; the output MLP's products over fewer
+        # rows may round differently in small-matrix BLAS kernels
+        assert np.array_equal(cache["c"], dense_cache["c"][rows])
+        assert np.array_equal(cache["winners"], dense_cache["winners"][rows])
+        assert np.allclose(got, dense[rows], rtol=0.0, atol=1e-12)
+
+        grad_dense = np.zeros_like(dense)
+        grad_dense[rows] = grad_rows
+        want = point_backward(params, dense_cache, grad_dense)
+        grads = point_backward(params, cache, grad_rows)
+        for name in want:
+            assert np.allclose(grads[name], want[name], rtol=0.0, atol=1e-12), name
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[3, 1, 3], [0, 12], [-1, 2], [[0, 1]], [0.0, 1.0], []],
+        ids=["repeated", "past-end", "negative", "2-d", "float", "empty"],
+    )
+    def test_rejects_malformed_rows(self, rows):
+        params = EncoderParams3D.initialize(15, k=3)
+        cloud = self.random_cloud(12, seed=16)
+        nb = knn_indices(cloud.positions, 3)
+        with pytest.raises(ValueError, match="rows"):
+            point_forward(params, cloud.positions, cloud.colors, nb, np.array(rows))
+
     def test_gradients_certified(self):
         rng = np.random.default_rng(8)
         cloud = self.random_cloud(12, seed=9)
-        direction = rng.normal(size=(12, 16))
+        rows = np.array([7, 2, 10, 0, 5])
+        direction = rng.normal(size=(rows.size, 16))
         nb = knn_indices(cloud.positions, 4)
 
         def loss_fn(tensors):
             params = EncoderParams3D.from_tensors(tensors, k=4)
-            out, cache = point_forward(params, cloud.positions, cloud.colors, nb)
+            out, cache = point_forward(params, cloud.positions, cloud.colors, nb, rows)
             loss = float((out * direction).sum() + 0.5 * (out**2).sum())
             grads = point_backward(params, cache, direction + out)
             return loss, grads

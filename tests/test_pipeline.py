@@ -2,12 +2,13 @@
 
 Stage 1: determinism, that computing conv3 only at the sampled pixels
 trains as the dense encoder does, and the starved-iteration error.
-Stage 2: determinism, the untouched frozen stage-1 model, and that reading
-kNN from the per-scene neighbour tables trains exactly as an exact search
-of every slot's surviving points would.
-Both: a finite-difference check of one whole step's gradient, skipped
-slots counted with the learning rate still following the schedule, and a
-non-finite loss naming the batch that produced it.
+Stage 2: determinism, the untouched frozen stage-1 model, that reading kNN
+from the per-scan neighbour tables trains exactly as an exact search of
+every slot's surviving points would, and that pairs sharing one scan share
+its voxelisation and table yet train as pairs holding copies do.
+Both: config validation, a finite-difference check of one whole step's
+gradient, skipped slots counted with the learning rate still following
+the schedule, and a non-finite loss naming the batch that produced it.
 """
 
 import re
@@ -19,6 +20,7 @@ import pytest
 
 from pixpoint import pipeline
 from pixpoint.errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss
+from pixpoint.geometry import PointCloud, voxelize
 from pixpoint.nn import (
     EncoderParams2D,
     EncoderParams3D,
@@ -187,9 +189,68 @@ def test_neighbour_tables_train_like_an_exact_search(dataset, monkeypatch):
     assert searched
 
 
+def with_own_clouds(dataset):
+    """The same pairs, each holding its own equal copy of its cloud."""
+    return [
+        replace(pair, cloud=PointCloud(pair.cloud.positions, pair.cloud.colors, pair.cloud.labels))
+        for pair in dataset
+    ]
+
+
+def test_pairs_sharing_a_cloud_train_like_pairs_with_copies(dataset):
+    shared, report_shared = run_stage2(dataset)
+    copied, report_copied = run_stage2(with_own_clouds(dataset))
+    assert checkpoint_checksum(copied) == checkpoint_checksum(shared)
+    assert np.array_equal(report_copied.loss_history, report_shared.loss_history)
+
+
+@pytest.mark.parametrize("own_clouds", [False, True], ids=["shared", "copied"])
+def test_each_cloud_is_voxelised_and_searched_once(dataset, monkeypatch, own_clouds):
+    data = with_own_clouds(dataset) if own_clouds else dataset
+    voxelised, searched = [], []
+
+    def counting_voxelize(cloud, size):
+        voxelised.append(id(cloud))
+        return voxelize(cloud, size)
+
+    def counting_knn(positions, k, by_distance=False):
+        searched.append(k)
+        return knn_indices(positions, k, by_distance)
+
+    monkeypatch.setattr(pipeline, "voxelize", counting_voxelize)
+    monkeypatch.setattr(pipeline, "knn_indices", counting_knn)
+    run_stage2(data)
+    picked = {
+        int(i)
+        for it in range(STAGE2.iterations)
+        for i in rng_for(STAGE2.seed, "stage2", it).integers(0, len(data), size=STAGE2.batch_pairs)
+    }
+    clouds = {id(pair.cloud) for pair in data}
+    picked_clouds = {id(data[i].cloud) for i in picked}
+    assert sorted(voxelised) == sorted(clouds)
+    assert len(searched) == len(picked_clouds)
+    if not own_clouds:  # two pairs of one scan were picked, so a table was shared
+        assert len(clouds) < len(data) and len(picked_clouds) < len(picked)
+
+
 def test_stage2_step_gradient_matches_finite_differences(dataset, monkeypatch):
     error = step_gradient_error(dataset, monkeypatch, run_stage2, EncoderParams3D, k=STAGE2.knn)
     assert error < 1e-4
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (pipeline.Stage1Config, "iterations"),
+        (pipeline.Stage2Config, "iterations"),
+        (pipeline.Stage2Config, "batch_pairs"),
+    ],
+    ids=["stage1-iterations", "stage2-iterations", "stage2-batch_pairs"],
+)
+def test_config_rejects_counts_below_one(config, field):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            config(**{field: value})
 
 
 @pytest.mark.parametrize(
