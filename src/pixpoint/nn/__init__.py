@@ -9,9 +9,9 @@ from .checkpoint import (
     save_model_2d,
     save_model_3d,
 )
-from .conv2d import encode_image, encode_images_backward, encode_images_forward
+from .conv2d import encode_images_backward, encode_images_forward
 from .gradcheck import gradient_check
-from .head import decode_normalize, head_backward, head_forward
+from .head import head_backward, head_forward
 from .params import (
     DEFAULT_EMBED_DIM,
     DEFAULT_FEATURE_DIM,
@@ -30,8 +30,6 @@ __all__ = [
     "EncoderParams3D",
     "HeadParams",
     "checkpoint_checksum",
-    "decode_normalize",
-    "encode_image",
     "encode_images_backward",
     "encode_images_forward",
     "encode_points",

@@ -1,16 +1,15 @@
-"""3x3 convolution stack over images, forward and backward.
+"""3x3 convolution stack over images, forward and backward, in float64.
 
-Convolutions are computed as im2col + one matrix product per layer; the
-backward pass recomputes the patch matrix instead of caching it (memory
-stays bounded by the activations). All arithmetic in float64.
-
-A layer can also be evaluated only at given output pixels: `at` holds
-sorted, unique flat positions (b*H + y)*W + x, and the patch matrix then
-has one row per position. Stage 1 reads its loss at a few thousand
-sampled pixels, so it runs conv3 this way; its backward scatters the
-patch-row gradients back into the padded input with one indexed add per
-kernel offset. conv1 and conv2, stage 2's frozen embeddings and
-`encode_image` need every pixel and take the dense path (`at=None`).
+The input is zero-padded once and viewed as a flat (B*(H+2)*(W+2), C)
+grid, in which kernel offset (i, j) is a shift of s = (i-1)*(W+2) + (j-1)
+rows. A layer sums (rows moved by s) @ (weights at (i, j)) over the nine
+offsets; no im2col patch matrix, holding each input nine times, is built.
+Dense layers compute, in blocks that stay in cache, the band [W+3, n-W-3)
+of grid rows, which holds every output pixel; moved by s a block is a
+slice. The input gradient is the same sum over the padded output gradient
+with shifts negated. With `at` (sorted, unique flat positions
+(b*H + y)*W + x; stage 1's conv3) the loop runs over those pixels' grid
+rows instead and scatters the input gradient back, one add per offset.
 """
 
 from __future__ import annotations
@@ -19,70 +18,84 @@ import numpy as np
 
 from .params import EncoderParams2D
 
+_BLOCK = 1 << 15  # float64 elements in one block of output rows, 256 KB
+_PAD = ((0, 0), (1, 1), (1, 1), (0, 0))  # (B,H,W,C) -> (B,H+2,W+2,C)
 
-def _positions(at: np.ndarray, shape) -> tuple:
-    """Flat output positions -> (b, y, x) index arrays; checks `at`."""
+
+def _positions(shape, at) -> tuple:
+    """(grid rows of the band, or of the checked `at`; each offset's shift)."""
     b, h, w = shape[:3]
+    shifts = [(i - 1) * (w + 2) + j - 1 for i in range(3) for j in range(3)]
+    if at is None:
+        return slice(w + 3, b * (h + 2) * (w + 2) - w - 3), shifts
     if at.ndim != 1 or at.size == 0:
         raise ValueError(f"at must be a nonempty 1-D array, got shape {at.shape}")
     if at[0] < 0 or at[-1] >= b * h * w or np.any(at[1:] <= at[:-1]):
         raise ValueError(f"at must be sorted, unique and within [0, {b * h * w})")
     bi, rest = np.divmod(at, h * w)
-    yi, xi = np.divmod(rest, w)
-    return bi, yi, xi
+    return (bi * (h + 2) + rest // w + 1) * (w + 2) + rest % w + 1, shifts
 
 
-def _im2col(x: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
-    """(B,H,W,C) -> (B*H*W, C*9) patch matrix for 3x3 kernels with pad 1;
-    with `at`, (len(at), C*9): the rows of those output positions only."""
-    b, h, w, c = x.shape
-    xp = np.zeros((b, h + 2, w + 2, c))
-    xp[:, 1:-1, 1:-1, :] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    # win: (B, H, W, C, 3, 3) view; reorder so a row is [c0k0..c0k8, c1k0..]
-    if at is None:
-        return win.reshape(b * h * w, c * 9)
-    return win[_positions(at, x.shape)].reshape(at.shape[0], c * 9)
+def _blocks(rows, shifts, width: int):
+    """Yields (a block of output rows, the grid rows it reads at each offset)."""
+    dense = isinstance(rows, slice)
+    n, step = (rows.stop - rows.start if dense else rows.size), max(1, _BLOCK // width)
+    for r in range(0, n, step):
+        blk = slice(r, min(r + step, n))
+        if dense:
+            yield blk, [slice(rows.start + s + r, rows.start + s + blk.stop) for s in shifts]
+        else:
+            yield blk, [rows[blk] + s for s in shifts]
+
+
+def _offset_sum(src, rows, shifts, wk, out) -> None:
+    """out[r] += sum over offsets k of src[rows[r] + shifts[k]] @ wk[k]."""
+    width = max(wk.shape[1:])
+    tmp = np.empty_like(out[: max(1, _BLOCK // width)])
+    for blk, taps in _blocks(rows, shifts, width):
+        acc, t = out[blk], tmp[: blk.stop - blk.start]
+        for tap, w_k in zip(taps, wk):
+            acc += np.matmul(src[tap], w_k, out=t)
 
 
 def conv3x3_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, at=None) -> np.ndarray:
     """x (B,H,W,Cin), w (Cout,Cin,3,3) -> (B,H,W,Cout), stride 1, zero pad 1;
     with `at`, (len(at), Cout): the output rows at those positions."""
-    b, h, wd, cin = x.shape
-    cols = _im2col(x, at)
-    out = cols @ w.reshape(w.shape[0], cin * 9).T
-    out += bias
-    if at is not None:
-        return out
-    return out.reshape(b, h, wd, w.shape[0])
+    rows, shifts = _positions(x.shape, at)
+    xp = np.pad(x, _PAD)
+    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, x.shape[3], -1)
+    out = np.zeros(xp.shape[:3] + w.shape[:1] if at is None else (at.size, w.shape[0]))
+    flat = out.reshape(-1, w.shape[0])
+    _offset_sum(xp.reshape(-1, x.shape[3]), rows, shifts, wk, flat[rows] if at is None else flat)
+    return (out[:, 1:-1, 1:-1] if at is None else out) + bias
 
 
 def conv3x3_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_grad_x=True, at=None):
     """Returns (grad_x or None, grad_w, grad_b). With `at`, grad_out is
     (len(at), Cout), the gradient of the rows that forward returned."""
-    b, h, wd, cin = x.shape
-    cout = w.shape[0]
-    g2 = grad_out.reshape(-1, cout)
-    cols = _im2col(x, at)
-    grad_w = (g2.T @ cols).reshape(cout, cin, 3, 3)
-    grad_b = g2.sum(axis=0)
+    cout, cin = w.shape[:2]
+    rows, shifts = _positions(x.shape, at)
+    xp = np.pad(x, _PAD)
+    xf = xp.reshape(-1, cin)
+    gg = np.pad(grad_out, _PAD).reshape(-1, cout) if at is None else grad_out
+    g = gg[rows] if at is None else gg
+    grad_w, tmp = np.zeros((9, cout, cin)), np.empty((cout, cin))
+    for blk, taps in _blocks(rows, shifts, max(cin, cout)):
+        for gw, tap in zip(grad_w, taps):
+            gw += np.matmul(g[blk].T, xf[tap], out=tmp)
+    grad_w = np.ascontiguousarray(grad_w.reshape(3, 3, cout, cin).transpose(2, 3, 0, 1))
+    grad_b = grad_out.reshape(-1, cout).sum(axis=0)
     if not need_grad_x:
         return None, grad_w, grad_b
-    grad_cols = g2 @ w.reshape(cout, cin * 9)
-    grad_xp = np.zeros((b, h + 2, wd + 2, cin))
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, cin)
+    gxp = np.zeros_like(xp)
+    gxf = gxp.reshape(-1, cin)
     if at is None:
-        gc = grad_cols.reshape(b, h, wd, cin, 3, 3)
-        for i in range(3):
-            for j in range(3):
-                grad_xp[:, i : i + h, j : j + wd, :] += gc[:, :, :, :, i, j]
-    else:
-        gc = grad_cols.reshape(-1, cin, 3, 3)
-        bi, yi, xi = _positions(at, x.shape)
-        # positions are unique, so no target repeats within one offset
-        for i in range(3):
-            for j in range(3):
-                grad_xp[bi, yi + i, xi + j] += gc[:, :, i, j]
-    return grad_xp[:, 1:-1, 1:-1, :], grad_w, grad_b
+        _offset_sum(gg, rows, [-s for s in shifts], wt, gxf[rows])
+    else:  # `at` is unique, so no target repeats within one indexed add
+        for s, w_k in zip(shifts, wt):
+            gxf[rows + s] += g @ w_k
+    return gxp[:, 1:-1, 1:-1], grad_w, grad_b
 
 
 def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
@@ -95,8 +108,7 @@ def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
     a1 = np.maximum(conv3x3_forward(images, params.conv1_w, params.conv1_b), 0.0)
     a2 = np.maximum(conv3x3_forward(a1, params.conv2_w, params.conv2_b), 0.0)
     feats = conv3x3_forward(a2, params.conv3_w, params.conv3_b, at=at)
-    cache = {"x": images, "a1": a1, "a2": a2, "at": at}
-    return feats, cache
+    return feats, {"x": images, "a1": a1, "a2": a2, "at": at}
 
 
 def encode_images_backward(params: EncoderParams2D, cache: dict, grad_feats: np.ndarray) -> dict:
@@ -108,17 +120,4 @@ def encode_images_backward(params: EncoderParams2D, cache: dict, grad_feats: np.
     grad_a1, g2w, g2b = conv3x3_backward(a1, params.conv2_w, grad_a2)
     grad_a1 *= a1 > 0.0
     _, g1w, g1b = conv3x3_backward(x, params.conv1_w, grad_a1, need_grad_x=False)
-    return {
-        "conv1_w": g1w,
-        "conv1_b": g1b,
-        "conv2_w": g2w,
-        "conv2_b": g2b,
-        "conv3_w": g3w,
-        "conv3_b": g3b,
-    }
-
-
-def encode_image(params: EncoderParams2D, image) -> np.ndarray:
-    """Per-pixel features (H,W,D) of one Image; same spatial dims as input."""
-    feats, _ = encode_images_forward(params, np.asarray(image.pixels)[None])
-    return feats[0]
+    return dict(conv1_w=g1w, conv1_b=g1b, conv2_w=g2w, conv2_b=g2b, conv3_w=g3w, conv3_b=g3b)

@@ -44,9 +44,3 @@ def head_backward(head: HeadParams, cache: dict, grad_z: np.ndarray):
     grad_features = grad_y @ head.weight
     grads = {"weight": grad_y.T @ cache["features"], "bias": grad_y.sum(axis=0)}
     return grad_features, grads
-
-
-def decode_normalize(head: HeadParams, features: np.ndarray) -> np.ndarray:
-    """Unit-norm embeddings of a feature matrix (the spec'd public entry)."""
-    z, _ = head_forward(head, features)
-    return z

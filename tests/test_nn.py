@@ -1,22 +1,23 @@
 """Encoder, head, gradient-check, and checkpoint tests.
 
 Forward oracles are straight-line loop reimplementations; gradients are
-certified against central finite differences.
+certified against central finite differences. The 3x3 convolution is also
+compared with the im2col version it replaced, kept here as the reference.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pixpoint.augment import PointDropout, RotationZ, TransformSpec3D, augment_cloud
 from pixpoint.errors import DegenerateEmbedding, NonFiniteLoss, ParseError
-from pixpoint.geometry import Image, PointCloud
+from pixpoint.geometry import PointCloud
 from pixpoint.nn import (
     EncoderParams2D,
     EncoderParams3D,
     HeadParams,
     checkpoint_checksum,
-    decode_normalize,
-    encode_image,
     encode_images_backward,
     encode_images_forward,
     encode_points,
@@ -34,7 +35,7 @@ from pixpoint.nn import (
     save_model_2d,
     save_model_3d,
 )
-from pixpoint.nn import points
+from pixpoint.nn import conv2d, points
 from pixpoint.nn.conv2d import conv3x3_backward, conv3x3_forward
 
 
@@ -57,19 +58,129 @@ def conv_oracle(x, w, b):
     return out
 
 
+def _reference_im2col(x, at=None):
+    """(B,H,W,C) -> (B*H*W, C*9) patch matrix for 3x3 kernels with pad 1;
+    with `at`, (len(at), C*9): the rows of those output positions only."""
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2, w + 2, c))
+    xp[:, 1:-1, 1:-1, :] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    # win: (B, H, W, C, 3, 3) view; a row is [c0k0..c0k8, c1k0..]
+    if at is None:
+        return win.reshape(b * h * w, c * 9)
+    bi, rest = np.divmod(at, h * w)
+    yi, xi = np.divmod(rest, w)
+    return win[bi, yi, xi].reshape(at.shape[0], c * 9)
+
+
+def reference_conv3x3_forward(x, w, bias, at=None):
+    """im2col + one matrix product: the layout of conv3x3_forward."""
+    b, h, wd, cin = x.shape
+    out = _reference_im2col(x, at) @ w.reshape(w.shape[0], cin * 9).T + bias
+    return out if at is not None else out.reshape(b, h, wd, w.shape[0])
+
+
+def reference_conv3x3_backward(x, w, grad_out, need_grad_x=True, at=None):
+    """Patch-matrix backward with a col2im of nine shifted adds."""
+    b, h, wd, cin = x.shape
+    cout = w.shape[0]
+    g2 = grad_out.reshape(-1, cout)
+    grad_w = (g2.T @ _reference_im2col(x, at)).reshape(cout, cin, 3, 3)
+    grad_b = g2.sum(axis=0)
+    if not need_grad_x:
+        return None, grad_w, grad_b
+    grad_cols = (g2 @ w.reshape(cout, cin * 9)).reshape(-1, cin, 3, 3)
+    grad_xp = np.zeros((b, h + 2, wd + 2, cin))
+    if at is None:
+        gc = grad_cols.reshape(b, h, wd, cin, 3, 3)
+        for i in range(3):
+            for j in range(3):
+                grad_xp[:, i : i + h, j : j + wd, :] += gc[..., i, j]
+    else:
+        bi, rest = np.divmod(at, h * wd)
+        yi, xi = np.divmod(rest, wd)
+        for i in range(3):
+            for j in range(3):
+                grad_xp[bi, yi + i, xi + j] += grad_cols[:, :, i, j]
+    return grad_xp[:, 1:-1, 1:-1, :], grad_w, grad_b
+
+
+class TestConvAgainstReference:
+    """conv3x3_* against the im2col reference on odd shapes, dense and at
+    corners, edges and interior pixels of both images."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @staticmethod
+    def sampled(h, w):
+        ys, xs = (0, h // 2, h - 1), (0, 3, w - 1)
+        return np.unique([(v * h + y) * w + x for v in (0, 1) for y in ys for x in xs])
+
+    @pytest.mark.parametrize("h", [3, 5])
+    @pytest.mark.parametrize("cin", [1, 3, 16])
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("need_grad_x", [True, False])
+    def test_matches_reference(self, h, cin, sampled, need_grad_x):
+        self.check(h, cin, sampled, need_grad_x)
+
+    @pytest.mark.parametrize("cin", [1, 3, 16])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_matches_reference_in_small_row_blocks(self, monkeypatch, cin, sampled):
+        # 80 elements: blocks of 20 rows (5 for Cin 16), so most taps and
+        # scatters cross block boundaries
+        monkeypatch.setattr(conv2d, "_BLOCK", 80)
+        self.check(5, cin, sampled, need_grad_x=True)
+
+    def check(self, h, cin, sampled, need_grad_x):
+        rng = np.random.default_rng(100 * h + cin)
+        x = rng.normal(size=(2, h, 7, cin))
+        w = rng.normal(size=(4, cin, 3, 3))
+        b = rng.normal(size=4)
+        at = self.sampled(h, 7) if sampled else None
+        self.assert_close(conv3x3_forward(x, w, b, at=at), reference_conv3x3_forward(x, w, b, at))
+        g = rng.normal(size=(at.size, 4) if sampled else (2, h, 7, 4))
+        got = conv3x3_backward(x, w, g, need_grad_x=need_grad_x, at=at)
+        ref = reference_conv3x3_backward(x, w, g, need_grad_x, at)
+        for a, r in zip(got[1:], ref[1:]):
+            self.assert_close(a, r)
+        if need_grad_x:
+            self.assert_close(got[0], ref[0])
+        else:
+            assert got[0] is None
+
+    def test_dense_backward_peak_stays_below_one_patch_matrix(self):
+        # numpy reports its array buffers to tracemalloc; an im2col backward
+        # holds the (B*H*W, Cin*9) patch matrix and its gradient at once
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(4, 32, 32, 16))
+        w = rng.normal(size=(32, 16, 3, 3))
+        g = rng.normal(size=(4, 32, 32, 32))
+        patch_bytes = x.size * 9 * x.itemsize
+        tracemalloc.start()
+        try:
+            conv3x3_backward(x, w, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * patch_bytes
+
+
 class TestConvEncoder:
     def test_shape_contract(self):
         params = EncoderParams2D.initialize(0)
-        img = Image(np.random.default_rng(0).uniform(0, 1, (32, 32, 3)))
-        feats = encode_image(params, img)
-        assert feats.shape == (32, 32, 16)
+        imgs = np.random.default_rng(0).uniform(0, 1, (1, 32, 32, 3))
+        feats, _ = encode_images_forward(params, imgs)
+        assert feats.shape == (1, 32, 32, 16)
 
     def test_zero_weights_give_zero_features(self):
         params = EncoderParams2D.initialize(0)
         for t in params.tensors().values():
             t[...] = 0.0
-        img = Image(np.random.default_rng(1).uniform(0, 1, (8, 8, 3)))
-        assert np.all(encode_image(params, img) == 0.0)
+        imgs = np.random.default_rng(1).uniform(0, 1, (1, 8, 8, 3))
+        assert np.all(encode_images_forward(params, imgs)[0] == 0.0)
 
     def test_too_small_image_rejected(self):
         params = EncoderParams2D.initialize(0)
@@ -410,24 +521,24 @@ class TestKnnFromTable:
 class TestHead:
     def test_three_four_five(self):
         head = HeadParams(np.eye(2), np.zeros(2))
-        z = decode_normalize(head, np.array([[3.0, 4.0]]))
+        z, _ = head_forward(head, np.array([[3.0, 4.0]]))
         assert np.allclose(z, [[0.6, 0.8]], atol=1e-12)
 
     def test_unit_row_unchanged(self):
         head = HeadParams(np.eye(3), np.zeros(3))
         row = np.array([[1.0, 0.0, 0.0]])
-        assert np.allclose(decode_normalize(head, row), row, atol=1e-9)
+        assert np.allclose(head_forward(head, row)[0], row, atol=1e-9)
 
     def test_norm_sweep_random(self):
         rng = np.random.default_rng(12)
         head = HeadParams(rng.normal(size=(8, 16)), rng.normal(size=8))
-        z = decode_normalize(head, rng.normal(size=(100, 16)))
+        z, _ = head_forward(head, rng.normal(size=(100, 16)))
         assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() < 1e-6
 
     def test_degenerate_embedding_aborts(self):
         head = HeadParams(np.eye(2), np.zeros(2))
         with pytest.raises(DegenerateEmbedding):
-            decode_normalize(head, np.zeros((1, 2)))
+            head_forward(head, np.zeros((1, 2)))
 
     def test_gradients_certified(self):
         rng = np.random.default_rng(13)
