@@ -6,12 +6,17 @@ lower point index and each row of the index table is sorted ascending, so
 the forward pass is exactly permutation-equivariant and the max-backward
 routes gradient to the lowest-index maximizer.
 
-The exact search works on row blocks of KNN_BLOCK_ROWS points, so its
-memory is KNN_BLOCK_ROWS x N distances, not N x N. point_forward takes the
-neighbour table from its caller. Stage 2 measures neighbours in the
-voxelised scan's own frame, before rotation: it searches each distinct
-scan once for a wider table ordered by (distance, index) and reads the
-neighbours of the points that survive dropout from it (knn_from_table).
+knn_indices is an exact uniform-grid search: each point takes its
+candidates from the 3x3x3 cells around its own and keeps the nearest only
+when a distance certificate proves that no point outside those cells is as
+near; the few other points are searched against all N. It works on row
+blocks of KNN_BLOCK_ROWS points, so its memory is at most KNN_BLOCK_ROWS x N
+distances, not N x N; on voxelised scans a block meets a few hundred
+candidates. point_forward takes the neighbour table from its caller.
+Stage 2 measures neighbours in the voxelised scan's own frame, before
+rotation: it searches each distinct scan once for a wider table ordered by
+(distance, index) and reads the neighbours of the points that survive
+dropout from it (knn_from_table).
 
 point_forward returns features only at the requested rows. The per-point
 MLP runs on every point, because neighbours read its output; the max
@@ -27,38 +32,147 @@ from ..geometry import PointCloud
 from .params import EncoderParams3D
 
 
-KNN_BLOCK_ROWS = 256
+# rows per block: fewer rows gather fewer candidate cells per row, more
+# rows spread the per-block overhead; 64 was fastest on voxelised scans
+KNN_BLOCK_ROWS = 64
+
+_EPS = np.finfo(np.float64).eps
+# (27, 3) cell offsets of a 3x3x3 block, each coordinate in {-1, 0, 1}
+_OFFSETS = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def knn_indices(positions: np.ndarray, k: int, by_distance: bool = False) -> np.ndarray:
     """(N, k_eff) nearest-neighbour indices per point, k_eff = min(k, N).
 
-    Euclidean distances on positions, ties to the lower index. Rows are
-    sorted by ascending index, or by (distance, index) when by_distance.
+    Squared distances are summed from coordinate differences, ties go to
+    the lower index. Rows are sorted by ascending index, or by (distance,
+    index) when by_distance.
+
+    Points are hashed to cubic cells of side h, the largest distance from
+    one of up to KNN_BLOCK_ROWS evenly strided rows to its k-th neighbour
+    (at least its 2nd), and sorted by cell. Each block of KNN_BLOCK_ROWS
+    cell-sorted rows is compared with the points of the 3x3x3 cells around
+    each of its rows. A row is final when its k-th squared distance lies
+    strictly below its squared distance to those faces of its own 3x3x3
+    cells that have occupied cells beyond them. Every point not compared
+    is then strictly farther than the k-th, so it could neither enter the
+    row nor win a tie, and the row equals the exhaustive answer. The
+    margin is shrunk to cover the rounding of the cell coordinates and of
+    the squared distances. Rows that are not final (outliers, sparse
+    regions, clouds of exact copies) are compared with all N points.
+    Either way a block holds at most KNN_BLOCK_ROWS x N distances.
     """
+    positions = np.asarray(positions, dtype=np.float64)
+    _check_search(positions, k)
     n = positions.shape[0]
     k_eff = min(k, n)
-    sq = (positions**2).sum(axis=1)
     nb = np.empty((n, k_eff), dtype=np.int64)
-    for start in range(0, n, KNN_BLOCK_ROWS):
-        stop = min(start + KNN_BLOCK_ROWS, n)
-        rows = np.arange(stop - start)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (positions[start:stop] @ positions.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[rows, rows + start] = 0.0
-        part = np.argpartition(d2, k_eff - 1, axis=1)[:, :k_eff]
-        kth = d2[rows[:, None], part].max(axis=1)
-        ambiguous = np.flatnonzero((d2 <= kth[:, None]).sum(axis=1) > k_eff)
-        block = np.sort(part, axis=1)
-        for i in ambiguous:
-            cand = np.flatnonzero(d2[i] <= kth[i])
-            order = np.lexsort((cand, d2[i, cand]))
-            block[i] = np.sort(cand[order[:k_eff]])
-        if by_distance:
-            order = np.lexsort((block, d2[rows[:, None], block]), axis=1)
-            block = np.take_along_axis(block, order, axis=1)
-        nb[start:stop] = block
+    rest = _grid_search(positions, k_eff, by_distance, nb) if n else np.arange(0)
+    for start in range(0, rest.size, KNN_BLOCK_ROWS):
+        rows = rest[start : start + KNN_BLOCK_ROWS]
+        nb[rows] = _nearest(positions, rows, np.arange(n), k_eff, by_distance)[0]
     return nb
+
+
+def _check_search(positions: np.ndarray, k: int) -> None:
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError(f"positions must be (N, 3), got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
+def _grid_search(positions: np.ndarray, k_eff: int, by_distance: bool, nb: np.ndarray) -> np.ndarray:
+    """Fill the rows of nb that the cell grid certifies; return the others."""
+    n = positions.shape[0]
+    # h: the largest distance of a sampled row to its k-th neighbour, at
+    # least the second, as the first of a row is itself
+    sample = np.arange(0, n, -(-n // KNN_BLOCK_ROWS))
+    k_h = min(max(k_eff, 2), n)
+    kth = np.partition(_sq_dists(positions[sample], positions), k_h - 1, axis=1)[:, k_h - 1]
+    h = np.sqrt(kth.max())
+    if not h > 0.0:  # each sampled row has k_h - 1 or more exact copies
+        return np.arange(n)
+    s = (positions - positions.min(axis=0)) / h  # cell units, >= 0
+    q = np.floor(s)
+
+    # Cell keys count only the occupied coordinates of each axis, so they
+    # stay below N**3 however far a point lies (ravel_multi_index raises
+    # rather than wrap), and no grid of extent/h cells is allocated.
+    axes, ranks = zip(*(np.unique(q[:, a], return_inverse=True) for a in range(3)))
+    dims = tuple(u.size for u in axes)
+    key = np.ravel_multi_index(ranks, dims)
+    order = np.argsort(key, kind="stable")
+    cells, starts, cell_of = np.unique(key[order], return_index=True, return_inverse=True)
+    ends = np.append(starts[1:], n)
+
+    # (C, 27) cell ids of the 3x3x3 block around each cell, -1 if empty
+    steps = []
+    for u, r in zip(axes, np.unravel_index(cells, dims)):
+        adjacent = np.append(np.diff(u) == 1.0, False)  # u[i + 1] == u[i] + 1
+        below = np.where(adjacent[r - 1], r - 1, -1)  # adjacent[-1] is False
+        steps.append(np.stack([below, r, np.where(adjacent[r], r + 1, -1)], axis=1))
+    near = [step[:, _OFFSETS[:, a] + 1] for a, step in enumerate(steps)]
+    near_key = np.ravel_multi_index([np.maximum(r, 0) for r in near], dims)
+    nbr = np.minimum(np.searchsorted(cells, near_key), cells.size - 1)
+    nbr[(np.minimum.reduce(near) < 0) | (cells[nbr] != near_key)] = -1
+
+    # Squared distance from each row to the faces of its 3x3x3 block with
+    # occupied cells beyond them (cell coordinates start at 0). A computed
+    # s is within about eps * s of exact and a computed squared distance
+    # within 3 eps; the slack in cells and the factor 1 - 8 eps cover both
+    # and the rounding of the bound itself.
+    t = s - q
+    lower = np.where(q >= 2.0, 1.0 + t, np.inf)
+    upper = np.where(q + 2.0 <= q.max(axis=0), 2.0 - t, np.inf)
+    margin = np.minimum(lower, upper).min(axis=1) - 2.0 * _EPS * (s.max() + 2.0)
+    bound = np.where(margin > 0.0, (h * margin) ** 2 * (1.0 - 8.0 * _EPS), -1.0)
+
+    rest = []
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        rows = order[start : start + KNN_BLOCK_ROWS]
+        searched = np.unique(nbr[cell_of[start : start + KNN_BLOCK_ROWS]])
+        searched = searched[searched >= 0]
+        # the rows of the searched cells, each cell a contiguous run of order
+        lens = ends[searched] - starts[searched]
+        cand = order[np.repeat(starts[searched] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+        if cand.size < k_eff:
+            rest.append(rows)
+            continue
+        got, kth = _nearest(positions, rows, cand, k_eff, by_distance)
+        final = kth < bound[rows]
+        nb[rows[final]] = got[final]
+        rest.append(rows[~final])
+    return np.concatenate(rest)
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances, summed over x, y, z in that order."""
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    d2 *= d2
+    for axis in (1, 2):
+        diff = np.subtract.outer(a[:, axis], b[:, axis])
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _nearest(positions: np.ndarray, rows: np.ndarray, cand: np.ndarray, k_eff: int, by_distance: bool):
+    """The k_eff points of cand nearest each of rows, by (distance, index),
+    ordered as knn_indices orders them; with each row's k-th squared distance."""
+    d2 = _sq_dists(positions[rows], positions[cand])
+    part = np.argpartition(d2, k_eff - 1, axis=1)[:, :k_eff]
+    r = np.arange(rows.size)[:, None]
+    kth = d2[r, part].max(axis=1)
+    for i in np.flatnonzero((d2 <= kth[:, None]).sum(axis=1) > k_eff):
+        tied = np.flatnonzero(d2[i] <= kth[i])
+        part[i] = tied[np.lexsort((cand[tied], d2[i, tied]))[:k_eff]]
+    idx = cand[part]
+    if not by_distance:
+        return np.sort(idx, axis=1), kth
+    order = np.lexsort((idx, d2[r, part]), axis=1)
+    return np.take_along_axis(idx, order, axis=1), kth
 
 
 def knn_from_table(

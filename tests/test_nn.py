@@ -430,28 +430,128 @@ def dyadic_duplicates():
     return np.concatenate([pos, np.repeat(pos[7:8], 12, axis=0)])
 
 
+def copied_rows():
+    """300 uniform points, 70 of them overwritten by copies of others, so
+    lower- and higher-index copies of a point tie at distance zero."""
+    rng = np.random.default_rng(15)
+    pos = rng.uniform(-1, 1, (300, 3))
+    pos[rng.choice(300, size=70, replace=False)] = pos[rng.choice(300, size=70)]
+    return pos
+
+
+def cluster_and_outliers():
+    rng = np.random.default_rng(16)
+    pos = rng.normal(0.0, 0.05, (600, 3))
+    pos[[5, 301, 598]] = rng.uniform(-50, 50, (3, 3))  # not among the rows that size the cells
+    return pos
+
+
+def one_far_point():
+    pos = np.random.default_rng(17).uniform(-1, 1, (300, 3))
+    pos[123] = [1e12, -1e12, 1e12]
+    return pos
+
+
+def plane_z0():
+    pos = np.random.default_rng(18).uniform(-1, 1, (300, 3))
+    pos[:, 2] = 0.0
+    return pos
+
+
 KNN_CLOUDS = {
-    # 700 rows: two full blocks and a partial one
+    # 700 rows: several full blocks and a partial one
     "random_700": np.random.default_rng(13).uniform(-1, 1, (700, 3)),
-    # 343 rows: exact distance ties on both sides of the block edge at 256
+    # 343 rows: exact distance ties on both sides of block edges
     "grid_7": integer_grid(),
     "duplicates": dyadic_duplicates(),
+    "copied_rows": copied_rows(),
     "k_at_least_n": np.random.default_rng(14).uniform(-1, 1, (5, 3)),
+    "cluster_and_outliers": cluster_and_outliers(),
+    "one_far_point": one_far_point(),
+    "all_identical": np.tile([0.3, -0.2, 0.7], (50, 1)),
+    "plane_z0": plane_z0(),
 }
 
 
 class TestKnnIndices:
+    @pytest.fixture
+    def exhaustive_rows(self, monkeypatch):
+        """Counts the rows the grid leaves to the exhaustive search."""
+        counts = []
+        grid_search = points._grid_search
+
+        def counted(*args):
+            rest = grid_search(*args)
+            counts.append(rest.size)
+            return rest
+
+        monkeypatch.setattr(points, "_grid_search", counted)
+        return counts
+
     @pytest.mark.parametrize("name", sorted(KNN_CLOUDS))
-    @pytest.mark.parametrize("k", [1, 8, 24])
+    @pytest.mark.parametrize("k", [1, 2, 8, 24])
     def test_matches_brute_force(self, name, k):
         pos = KNN_CLOUDS[name]
         assert np.array_equal(knn_indices(pos, k), brute_knn(pos, k))
         assert np.array_equal(knn_indices(pos, k, by_distance=True), brute_knn(pos, k, True))
 
+    @pytest.mark.parametrize(
+        "name, exhaustive",
+        [
+            ("random_700", False),
+            ("grid_7", False),
+            ("copied_rows", False),
+            # N <= k: every point lies in the 3x3x3 cells around each row
+            ("k_at_least_n", False),
+            # outliers in cells of their own
+            ("cluster_and_outliers", True),
+            ("one_far_point", True),
+            # the cells would have side 0
+            ("all_identical", True),
+            # one cell in z; a row in a sparse spot near the edge has its
+            # k-th neighbour beyond the sampled radius
+            ("plane_z0", True),
+        ],
+    )
+    def test_search_path(self, name, exhaustive, exhaustive_rows):
+        pos = KNN_CLOUDS[name]
+        assert np.array_equal(knn_indices(pos, 8), brute_knn(pos, 8))
+        assert (exhaustive_rows[0] > 0) == exhaustive
+
     def test_rows_split_into_bounded_blocks(self, monkeypatch):
         pos = KNN_CLOUDS["grid_7"]
+        shapes = []
+        sq_dists = points._sq_dists
+
+        def recorded(a, b):
+            shapes.append((a.shape[0], b.shape[0]))
+            return sq_dists(a, b)
+
         monkeypatch.setattr(points, "KNN_BLOCK_ROWS", 50)
-        assert np.array_equal(knn_indices(pos, 8), brute_knn(pos, 8))
+        monkeypatch.setattr(points, "_sq_dists", recorded)
+        # at k = 2 a lattice row's second neighbour lies on its cell's edge,
+        # so most rows go to the exhaustive search; at k = 8 none do
+        for k in (2, 8):
+            assert np.array_equal(knn_indices(pos, k), brute_knn(pos, k))
+        assert max(rows for rows, _ in shapes) <= 50
+        assert sum(cols == pos.shape[0] for _, cols in shapes) > 2  # exhaustive blocks
+        assert sum(cols < pos.shape[0] for _, cols in shapes) > 2  # grid blocks
+
+    @pytest.mark.parametrize(
+        "positions, k, match",
+        [
+            (np.zeros((4, 2)), 2, "positions"),
+            (np.zeros(3), 2, "positions"),
+            (np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), 1, "finite"),
+            (np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]), 1, "finite"),
+            (np.zeros((4, 3)), 0, "k"),
+            (np.zeros((4, 3)), -1, "k"),
+        ],
+        ids=["n-by-2", "1-d", "nan", "inf", "k-zero", "k-negative"],
+    )
+    def test_rejects_bad_input(self, positions, k, match):
+        with pytest.raises(ValueError, match=match):
+            knn_indices(positions, k)
 
 
 def drop(mask):
