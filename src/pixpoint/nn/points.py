@@ -48,18 +48,20 @@ def knn_indices(positions: np.ndarray, k: int, by_distance: bool = False) -> np.
     the lower index. Rows are sorted by ascending index, or by (distance,
     index) when by_distance.
 
-    Points are hashed to cubic cells of side h, the largest distance from
-    one of up to KNN_BLOCK_ROWS evenly strided rows to its k-th neighbour
-    (at least its 2nd), and sorted by cell. Each block of KNN_BLOCK_ROWS
-    cell-sorted rows is compared with the points of the 3x3x3 cells around
-    each of its rows. A row is final when its k-th squared distance lies
-    strictly below its squared distance to those faces of its own 3x3x3
-    cells that have occupied cells beyond them. Every point not compared
-    is then strictly farther than the k-th, so it could neither enter the
-    row nor win a tie, and the row equals the exhaustive answer. The
-    margin is shrunk to cover the rounding of the cell coordinates and of
-    the squared distances. Rows that are not final (outliers, sparse
-    regions, clouds of exact copies) are compared with all N points.
+    Points are hashed to cubic cells of side h, a little more than the
+    largest distance from one of up to KNN_BLOCK_ROWS evenly strided rows
+    to its k-th neighbour (at least its 2nd), and sorted by cell. Each
+    block of KNN_BLOCK_ROWS cell-sorted rows is compared with the points of
+    the 3x3x3 cells around each of its rows. A row is final when its k-th
+    squared distance lies strictly below its squared distance to those
+    faces of its own 3x3x3 cells that have occupied cells beyond them.
+    Every point not compared is then strictly farther than the k-th, so it
+    could neither enter the row nor win a tie, and the row equals the
+    exhaustive answer. The margin is shrunk to cover the rounding of the
+    cell coordinates and of the squared distances. It is at least one cell
+    side, so on a lattice every row whose k-th distance is the sampled one
+    is final. Rows that are not final (outliers, sparse regions, clouds of
+    exact copies) are compared with all N points.
     Either way a block holds at most KNN_BLOCK_ROWS x N distances.
     """
     positions = np.asarray(positions, dtype=np.float64)
@@ -91,7 +93,11 @@ def _grid_search(positions: np.ndarray, k_eff: int, by_distance: bool, nb: np.nd
     sample = np.arange(0, n, -(-n // KNN_BLOCK_ROWS))
     k_h = min(max(k_eff, 2), n)
     kth = np.partition(_sq_dists(positions[sample], positions), k_h - 1, axis=1)[:, k_h - 1]
-    h = np.sqrt(kth.max())
+    # a little wider than the largest sampled k-th distance: on a lattice
+    # most rows' k-th distance equals it exactly, and a row on a cell face
+    # lies exactly one cell side from the faces around it, so cells of
+    # exactly that side would fail the strict certificate for all of them
+    h = np.sqrt(kth.max()) * (1.0 + 2.0**-10)
     if not h > 0.0:  # each sampled row has k_h - 1 or more exact copies
         return np.arange(n)
     s = (positions - positions.min(axis=0)) / h  # cell units, >= 0

@@ -63,6 +63,15 @@ class TestValidation:
             with pytest.raises((BadTemperature, ValueError)):
                 info_nce(q, q.copy(), np.array([[0.0, 1.0]]), LossConfig(tau=tau, negatives=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["queries", "positives", "negatives"])
+    def test_non_finite_rows_rejected(self, where, bad):
+        # a NaN norm error compares False against any tolerance
+        args = {"queries": unit_rows(4, 3, 0), "positives": unit_rows(4, 3, 1), "negatives": unit_rows(5, 3, 2)}
+        args[where][2, 1] = bad
+        with pytest.raises(NotNormalized, match=f"{where} row 2"):
+            info_nce(**args, cfg=LossConfig(negatives=5))
+
     def test_pool_size_must_match_config(self):
         q = unit_rows(2, 4, 0)
         with pytest.raises(ValueError):
@@ -164,7 +173,7 @@ class TestBatchModes:
             assert got.per_query[i] == pytest.approx(expect, abs=1e-12)
 
 
-def chained_loss_fn(mode, n=5, m=6, k=7, tau=0.4):
+def chained_loss_fn(mode, k=7, tau=0.4, exclude_columns=None):
     """Raw (non-unit) parameters -> normalize rows -> info_nce.
 
     Returns a loss_fn suitable for gradient_check: the normalization
@@ -184,7 +193,7 @@ def chained_loss_fn(mode, n=5, m=6, k=7, tau=0.4):
         zp = normalize(tensors["p"])
         if mode == "explicit":
             zn = normalize(tensors["n"])
-            out = info_nce(zq, zp, zn, LossConfig(tau=tau, negatives=k))
+            out = info_nce(zq, zp, zn, LossConfig(tau=tau, negatives=k), exclude_columns=exclude_columns)
         else:
             out = info_nce(zq, zp, None, LossConfig(tau=tau, negatives=mode))
         grads = {
@@ -206,6 +215,21 @@ class TestGradients:
         if mode == "explicit":
             params["n"] = rng.normal(size=(7, 6))
         err = gradient_check(chained_loss_fn(mode), params, rng_seed=21)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("mode", ["explicit", ALL_IN_BATCH, OTHER_QUERIES])
+    def test_certified_across_row_blocks(self, mode, monkeypatch):
+        # the softmax normalisation and the own-positive terms are applied
+        # per block; exclude_columns holds a row that excludes every column
+        monkeypatch.setattr(loss, "_CHUNK", 7)  # 40 rows: blocks of 7, last of 5
+        q, p, pool, excl = explicit_case()
+        params = {"q": q, "p": p}
+        if mode == "explicit":
+            params["n"] = pool
+            fn = chained_loss_fn(mode, k=pool.shape[0], tau=0.2, exclude_columns=excl)
+        else:
+            fn = chained_loss_fn(mode, tau=0.2)
+        err = gradient_check(fn, params, rng_seed=23, n_coords=1000)  # every coordinate
         assert err < 1e-4
 
     def test_gradient_descent_on_embeddings_reduces_loss(self):
@@ -332,9 +356,11 @@ def explicit_case(n=40, k=24, m=8, seed=30):
 
 
 class TestAgainstDenseMaskReference:
-    """Index-pair exclusion and the in-place buffer change no output bit."""
+    """Index-pair exclusion, the reused workspace and the block size change
+    no bit of the losses. Gradients may differ in the last bits: the softmax
+    normalisation scales the (C, M) products, not the (C, K) block."""
 
-    def assert_matches(self, got, ref, grad_tol=0.0):
+    def assert_matches(self, got, ref, grad_tol=1e-12):
         total, per_query, grad_q, grad_p, grad_neg, mean_neg = ref
         assert np.array_equal(got.per_query, per_query)
         assert got.total == total
@@ -377,7 +403,37 @@ class TestAgainstDenseMaskReference:
         got = info_nce(q, p, pool, cfg, exclude_columns=excl)
         self.assert_matches(got, reference_info_nce(q, p, pool, cfg, excl, chunk=7))
         assert np.array_equal(got.per_query, whole[1])
-        self.assert_matches(got, whole, grad_tol=1e-12)
+        self.assert_matches(got, whole)
+
+    @pytest.mark.parametrize("mode", [OTHER_QUERIES, ALL_IN_BATCH, "explicit"])
+    def test_outputs_share_no_memory(self, mode, monkeypatch):
+        workspaces = []
+        matmul = np.matmul
+
+        def recorded(*args, out=None):
+            if out is not None:
+                workspaces.append(out.base)
+            return matmul(*args, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        monkeypatch.setattr(loss, "_CHUNK", 7)
+        q, p, pool, excl = explicit_case()
+        if mode == "explicit":
+            cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
+        else:
+            cfg, pool, excl = LossConfig(tau=0.2, negatives=mode), None, None
+        outs = [info_nce(q, p, pool, cfg, exclude_columns=excl) for _ in range(2)]
+        # 6 blocks per call, all in one workspace per call
+        assert len(workspaces) == 2 * 6 and len({id(w) for w in workspaces}) == 2
+        arrays = [
+            a
+            for o in outs
+            for a in (o.per_query, o.grad_queries, o.grad_positives, o.grad_negatives)
+            if a is not None
+        ]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, w) for w in workspaces)
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
     def test_malformed_exclude_columns_rejected(self):
         q, p, pool, excl = explicit_case()

@@ -518,8 +518,14 @@ class TestKnnIndices:
         assert np.array_equal(knn_indices(pos, 8), brute_knn(pos, 8))
         assert (exhaustive_rows[0] > 0) == exhaustive
 
-    def test_rows_split_into_bounded_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2, 8, 24])
+    def test_lattice_rows_certified(self, k, exhaustive_rows):
+        # most rows' k-th distance equals the one that sizes the cells
         pos = KNN_CLOUDS["grid_7"]
+        assert np.array_equal(knn_indices(pos, k), brute_knn(pos, k))
+        assert exhaustive_rows == [0]
+
+    def test_rows_split_into_bounded_blocks(self, monkeypatch):
         shapes = []
         sq_dists = points._sq_dists
 
@@ -527,15 +533,16 @@ class TestKnnIndices:
             shapes.append((a.shape[0], b.shape[0]))
             return sq_dists(a, b)
 
-        monkeypatch.setattr(points, "KNN_BLOCK_ROWS", 50)
+        monkeypatch.setattr(points, "KNN_BLOCK_ROWS", 20)
         monkeypatch.setattr(points, "_sq_dists", recorded)
-        # at k = 2 a lattice row's second neighbour lies on its cell's edge,
-        # so most rows go to the exhaustive search; at k = 8 none do
-        for k in (2, 8):
-            assert np.array_equal(knn_indices(pos, k), brute_knn(pos, k))
-        assert max(rows for rows, _ in shapes) <= 50
-        assert sum(cols == pos.shape[0] for _, cols in shapes) > 2  # exhaustive blocks
-        assert sum(cols < pos.shape[0] for _, cols in shapes) > 2  # grid blocks
+        # the grid certifies every lattice row; cells of side 0 certify none
+        for name, exhaustive_blocks in (("grid_7", 0), ("all_identical", 3)):
+            pos = KNN_CLOUDS[name]
+            shapes.clear()
+            assert np.array_equal(knn_indices(pos, 8), brute_knn(pos, 8))
+            assert max(rows for rows, _ in shapes) <= 20
+            # shapes[0] sizes the cells against all N
+            assert sum(cols == pos.shape[0] for _, cols in shapes[1:]) == exhaustive_blocks
 
     @pytest.mark.parametrize(
         "positions, k, match",
