@@ -277,14 +277,14 @@ def augment_image(img: Image, spec: TransformSpec2D, rng_seed: int):
                 materialize()
                 base = np.repeat((base @ LUMA)[..., None], 3, axis=-1)
 
-    xs, ys = _output_grid(*size)
-    sx = affine[0, 0] * xs + affine[0, 1] * ys + affine[0, 2]
-    sy = affine[1, 0] * xs + affine[1, 1] * ys + affine[1, 2]
-    out_pixels = np.clip(bilinear_sample(base, sx, sy), 0.0, 1.0)
+    # skips the resample when it would be the identity; afterwards the
+    # output grid is `base` and `total` maps it to the original
+    materialize()
+    out_pixels = np.clip(base, 0.0, 1.0)
 
-    comp = total @ affine
-    ox = comp[0, 0] * xs + comp[0, 1] * ys + comp[0, 2]
-    oy = comp[1, 0] * xs + comp[1, 1] * ys + comp[1, 2]
+    xs, ys = _output_grid(*size)
+    ox = total[0, 0] * xs + total[0, 1] * ys + total[0, 2]
+    oy = total[1, 0] * xs + total[1, 1] * ys + total[1, 2]
     eps = 1e-9
     valid = (
         (ox >= -eps)

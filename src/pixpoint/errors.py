@@ -74,7 +74,3 @@ class ParseError(PixpointError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class RangeError(PixpointError):
-    """A parsed value lies outside its documented range."""

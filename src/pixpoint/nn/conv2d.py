@@ -1,15 +1,24 @@
 """3x3 convolution stack over images, forward and backward, in float64.
 
-The input is zero-padded once and viewed as a flat (B*(H+2)*(W+2), C)
-grid, in which kernel offset (i, j) is a shift of s = (i-1)*(W+2) + (j-1)
-rows. A layer sums (rows moved by s) @ (weights at (i, j)) over the nine
-offsets; no im2col patch matrix, holding each input nine times, is built.
-Dense layers compute, in blocks that stay in cache, the band [W+3, n-W-3)
-of grid rows, which holds every output pixel; moved by s a block is a
-slice. The input gradient is the same sum over the padded output gradient
-with shifts negated. With `at` (sorted, unique flat positions
-(b*H + y)*W + x; stage 1's conv3) the loop runs over those pixels' grid
-rows instead and scatters the input gradient back, one add per offset.
+Every activation lives on a zero-bordered grid (B, H+2, W+2, C): the
+H x W interior holds the values, and the one-pixel border is the zero
+padding of the next 3x3 convolution. `encode_images_forward` pads the
+images once; each layer takes a padded input and returns a padded output
+whose border it rewrites to 0, so no layer pads or copies the interior.
+
+Viewed as a flat (B*(H+2)*(W+2), C) grid, kernel offset (i, j) is a shift
+of s = (i-1)*(W+2) + (j-1) rows. A layer sums (rows moved by s) @
+(weights at (i, j)) over the nine offsets; no im2col patch matrix,
+holding each input nine times, is built. Dense layers compute, in blocks
+that stay in cache, the band [W+3, n-W-3) of grid rows, which holds every
+output pixel; moved by s a block is a slice. The input gradient is the
+same sum over the padded output gradient with shifts negated. Its border
+holds the gradient of the padding, which is not an input: the caller's
+ReLU mask (zero on the border) discards it, and what is left is the
+previous layer's padded output gradient. With `at` (sorted, unique flat
+positions (b*H + y)*W + x; stage 1's conv3) the loop runs over those
+pixels' grid rows instead and scatters the input gradient back, one add
+per offset.
 """
 
 from __future__ import annotations
@@ -23,8 +32,9 @@ _PAD = ((0, 0), (1, 1), (1, 1), (0, 0))  # (B,H,W,C) -> (B,H+2,W+2,C)
 
 
 def _positions(shape, at) -> tuple:
-    """(grid rows of the band, or of the checked `at`; each offset's shift)."""
-    b, h, w = shape[:3]
+    """(grid rows of the band, or of the checked `at`; each offset's shift)
+    on a padded grid of `shape` (B, H+2, W+2, ...)."""
+    b, h, w = shape[0], shape[1] - 2, shape[2] - 2
     shifts = [(i - 1) * (w + 2) + j - 1 for i in range(3) for j in range(3)]
     if at is None:
         return slice(w + 3, b * (h + 2) * (w + 2) - w - 3), shifts
@@ -58,33 +68,41 @@ def _offset_sum(src, rows, shifts, wk, out) -> None:
             acc += np.matmul(src[tap], w_k, out=t)
 
 
-def conv3x3_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, at=None) -> np.ndarray:
-    """x (B,H,W,Cin), w (Cout,Cin,3,3) -> (B,H,W,Cout), stride 1, zero pad 1;
-    with `at`, (len(at), Cout): the output rows at those positions."""
-    rows, shifts = _positions(x.shape, at)
-    xp = np.pad(x, _PAD)
-    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, x.shape[3], -1)
-    out = np.zeros(xp.shape[:3] + w.shape[:1] if at is None else (at.size, w.shape[0]))
-    flat = out.reshape(-1, w.shape[0])
-    _offset_sum(xp.reshape(-1, x.shape[3]), rows, shifts, wk, flat[rows] if at is None else flat)
-    return (out[:, 1:-1, 1:-1] if at is None else out) + bias
+def conv3x3_forward(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, at=None) -> np.ndarray:
+    """xp (B,H+2,W+2,Cin) zero-bordered, w (Cout,Cin,3,3) -> (B,H+2,W+2,Cout)
+    zero-bordered, stride 1; with `at`, (len(at), Cout): the output rows at
+    those interior positions."""
+    rows, shifts = _positions(xp.shape, at)
+    cin, cout = xp.shape[3], w.shape[0]
+    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, cin, cout)
+    out = np.zeros(xp.shape[:3] + (cout,) if at is None else (at.size, cout))
+    flat = out.reshape(-1, cout)
+    _offset_sum(xp.reshape(-1, cin), rows, shifts, wk, flat[rows] if at is None else flat)
+    if at is not None:
+        return out + bias
+    out[:, 1:-1, 1:-1] += bias
+    out[:, [0, -1]] = 0.0  # the band's rows on the border hold partial sums
+    out[:, :, [0, -1]] = 0.0
+    return out
 
 
-def conv3x3_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_grad_x=True, at=None):
-    """Returns (grad_x or None, grad_w, grad_b). With `at`, grad_out is
-    (len(at), Cout), the gradient of the rows that forward returned."""
+def conv3x3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_grad_x=True, at=None):
+    """Returns (grad_x or None, grad_w, grad_b) for the layer forward ran on
+    the zero-bordered `xp`. grad_out is (B,H+2,W+2,Cout) with a zero border,
+    or with `at` (len(at), Cout), the gradient of the rows that forward
+    returned. grad_x has the shape of xp; its border holds the gradient of
+    the padding, which the caller's mask discards."""
     cout, cin = w.shape[:2]
-    rows, shifts = _positions(x.shape, at)
-    xp = np.pad(x, _PAD)
+    rows, shifts = _positions(xp.shape, at)
     xf = xp.reshape(-1, cin)
-    gg = np.pad(grad_out, _PAD).reshape(-1, cout) if at is None else grad_out
+    gg = grad_out.reshape(-1, cout)
     g = gg[rows] if at is None else gg
     grad_w, tmp = np.zeros((9, cout, cin)), np.empty((cout, cin))
     for blk, taps in _blocks(rows, shifts, max(cin, cout)):
         for gw, tap in zip(grad_w, taps):
             gw += np.matmul(g[blk].T, xf[tap], out=tmp)
     grad_w = np.ascontiguousarray(grad_w.reshape(3, 3, cout, cin).transpose(2, 3, 0, 1))
-    grad_b = grad_out.reshape(-1, cout).sum(axis=0)
+    grad_b = g.sum(axis=0)  # the band's border rows add exact zeros
     if not need_grad_x:
         return None, grad_w, grad_b
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, cin)
@@ -95,29 +113,36 @@ def conv3x3_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_gr
     else:  # `at` is unique, so no target repeats within one indexed add
         for s, w_k in zip(shifts, wt):
             gxf[rows + s] += g @ w_k
-    return gxp[:, 1:-1, 1:-1], grad_w, grad_b
+    return gxp, grad_w, grad_b
 
 
 def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
-    """Batched forward: images (B,H,W,3) -> (features (B,H,W,D), cache);
-    with `at`, features are (len(at), D), the rows at those positions."""
+    """Batched forward: images (B,H,W,3) -> (features (B,H,W,D), a view of
+    the zero-bordered output, cache); with `at`, features are (len(at), D),
+    the rows at those positions."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ValueError(f"images must be (B,H,W,3), got {images.shape}")
     if images.shape[1] < 3 or images.shape[2] < 3:
         raise ValueError(f"image dims must be at least 3x3, got {images.shape[1:3]}")
-    a1 = np.maximum(conv3x3_forward(images, params.conv1_w, params.conv1_b), 0.0)
-    a2 = np.maximum(conv3x3_forward(a1, params.conv2_w, params.conv2_b), 0.0)
+    xp = np.pad(images, _PAD)
+    a1 = conv3x3_forward(xp, params.conv1_w, params.conv1_b)
+    np.maximum(a1, 0.0, out=a1)
+    a2 = conv3x3_forward(a1, params.conv2_w, params.conv2_b)
+    np.maximum(a2, 0.0, out=a2)
     feats = conv3x3_forward(a2, params.conv3_w, params.conv3_b, at=at)
-    return feats, {"x": images, "a1": a1, "a2": a2, "at": at}
+    if at is None:
+        feats = feats[:, 1:-1, 1:-1]
+    return feats, {"xp": xp, "a1": a1, "a2": a2, "at": at}
 
 
 def encode_images_backward(params: EncoderParams2D, cache: dict, grad_feats: np.ndarray) -> dict:
     """Gradients w.r.t. all encoder parameters (input gradient not needed).
     grad_feats has the shape of the features forward returned."""
-    x, a1, a2 = cache["x"], cache["a1"], cache["a2"]
-    grad_a2, g3w, g3b = conv3x3_backward(a2, params.conv3_w, grad_feats, at=cache["at"])
+    xp, a1, a2, at = cache["xp"], cache["a1"], cache["a2"], cache["at"]
+    grad3 = grad_feats if at is not None else np.pad(grad_feats, _PAD)
+    grad_a2, g3w, g3b = conv3x3_backward(a2, params.conv3_w, grad3, at=at)
     grad_a2 *= a2 > 0.0
     grad_a1, g2w, g2b = conv3x3_backward(a1, params.conv2_w, grad_a2)
     grad_a1 *= a1 > 0.0
-    _, g1w, g1b = conv3x3_backward(x, params.conv1_w, grad_a1, need_grad_x=False)
+    _, g1w, g1b = conv3x3_backward(xp, params.conv1_w, grad_a1, need_grad_x=False)
     return dict(conv1_w=g1w, conv1_b=g1b, conv2_w=g2w, conv2_b=g2b, conv3_w=g3w, conv3_b=g3b)

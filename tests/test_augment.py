@@ -7,6 +7,7 @@ parameters; bilinear checks use an independent loop implementation.
 import numpy as np
 import pytest
 
+from pixpoint import augment, pipeline
 from pixpoint.augment import (
     ColorJitter,
     ColorJitter3D,
@@ -144,6 +145,49 @@ class TestAugmentImage:
         assert np.allclose(out.pixels[..., 0], out.pixels[..., 1])
         assert np.allclose(out.pixels[..., 1], out.pixels[..., 2])
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+class TestIdentityResampleSkipped:
+    """augment_image returns the materialised image itself when the last
+    resample would map the output grid onto it, pixel for pixel."""
+
+    SPECS = {
+        "default": (pipeline.default_spec_2d(out_size=(12, 10)).ops, 1),
+        "crop_only": ((RandomResizedCrop((0.4, 1.0), (12, 10)),), 1),
+        "jitter_only": ((ColorJitter((0.7, 1.3), (0.7, 1.3), (0.7, 1.3)),), 0),
+        "jitter_then_crop": (
+            (ColorJitter((0.7, 1.3), (0.7, 1.3), None), RandomResizedCrop((0.4, 1.0), (12, 10))),
+            1,
+        ),
+        "empty": ((), 0),
+    }
+
+    @staticmethod
+    def always_resampled(img, ops, seed, size):
+        # a full-window crop to the final size is the identity map, drawn
+        # after every other parameter; it only forces the final resample
+        return augment_image(img, TransformSpec2D(ops + (RandomResizedCrop((1.0, 1.0), size),)), seed)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_equals_always_resampling_and_counts_calls(self, monkeypatch, name):
+        ops, expected_calls = self.SPECS[name]
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return bilinear(*args)
+
+        bilinear = augment.bilinear_sample
+        monkeypatch.setattr(augment, "bilinear_sample", counted)
+        img = checker_image(w=16, h=12, seed=13)
+        for seed in range(6):
+            del calls[:]
+            out, cmap = augment_image(img, TransformSpec2D(ops), rng_seed=seed)
+            assert len(calls) == expected_calls
+            ref, ref_map = self.always_resampled(img, ops, seed, (out.width, out.height))
+            assert np.array_equal(out.pixels, ref.pixels)
+            assert np.array_equal(cmap.src, ref_map.src)
+            assert np.array_equal(cmap.valid, ref_map.valid)
 
 
 class TestMatchPositivePixels:

@@ -96,11 +96,11 @@ def test_stage1_sampled_conv3_trains_like_the_dense_encoder(dataset, monkeypatch
 
     def forward_then_gather(params, images, at):
         feats, cache = dense_forward(params, images)
-        return feats.reshape(-1, feats.shape[-1])[at], (cache, at)
+        return feats.reshape(-1, feats.shape[-1])[at], (cache, at, feats.shape)
 
     def scatter_then_backward(params, cache_at, grad_rows):
-        cache, at = cache_at
-        grad = np.zeros(cache["a2"].shape[:3] + (grad_rows.shape[1],))
+        cache, at, shape = cache_at
+        grad = np.zeros(shape)
         grad.reshape(-1, grad_rows.shape[1])[at] = grad_rows
         return dense_backward(params, cache, grad)
 
