@@ -1,97 +1,27 @@
-"""On-disk formats for clouds, images, cameras, features, correspondences.
+"""On-disk formats for images and correspondences.
 
 All writers emit bytes directly (LF line endings, '.' decimal separator)
-so files are identical across platforms. Text float fields use either 9
-significant digits (point clouds; lossy once, then stable) or 17
-significant digits (cameras; exact float64 round trip). Re-reading a file
-and writing it again always reproduces the same bytes.
+so files are identical across platforms. Text float fields use 17
+significant digits (exact float64 round trip). Re-reading a file and
+writing it again always reproduces the same bytes.
 
 Formats:
-    PCTXT v1    line 1: "PCTXT v1 <N> <has_labels:0|1>"
-                then N lines "x y z r g b [label]" (%.9g floats)
     PPM         binary "P6", maxval 255, row-major RGB (floats quantized
                 by round-half-up on write, read back as k/255)
-    CAMTXT v1   "fx=", "fy=", "cx=", "cy=", "width=", "height=" lines,
-                then "pose=" + 12 numbers row-major [R|t] (%.17g)
-    FEATF32 v1  magic b"FEATF32 v1\\n", u32 N, u32 D, N*D little-endian f32
     CORRTXT v1  line 1: "CORRTXT v1 <n> <camera_id>"
                 then n lines "point_index u v depth" (%.17g floats)
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from .errors import ParseError, RangeError
-from .geometry import CameraIntrinsics, CorrespondenceSet, Image, PointCloud, Pose
-
-
-def _fmt9(x: float) -> str:
-    return format(float(x), ".9g")
+from .errors import ParseError
+from .geometry import CorrespondenceSet, Image
 
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
-
-
-# ── point clouds ─────────────────────────────────────────────────────────
-
-def write_cloud(path, cloud: PointCloud) -> None:
-    has_labels = cloud.labels is not None
-    lines = [f"PCTXT v1 {len(cloud)} {int(has_labels)}"]
-    for i in range(len(cloud)):
-        parts = [_fmt9(v) for v in cloud.positions[i]] + [_fmt9(v) for v in cloud.colors[i]]
-        if has_labels:
-            parts.append(str(int(cloud.labels[i])))
-        lines.append(" ".join(parts))
-    data = ("\n".join(lines) + "\n").encode("ascii")
-    with open(path, "wb") as f:
-        f.write(data)
-
-
-def read_cloud(path) -> PointCloud:
-    with open(path, "rb") as f:
-        data = f.read()
-    lines = data.split(b"\n")
-    offset = 0
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != b"PCTXT" or header[1] != b"v1":
-        raise ParseError("bad PCTXT header", offset=0)
-    try:
-        n = int(header[2])
-        has_labels = int(header[3])
-    except ValueError:
-        raise ParseError("bad PCTXT header counts", offset=0) from None
-    if has_labels not in (0, 1) or n < 0:
-        raise ParseError("bad PCTXT header counts", offset=0)
-    offset += len(lines[0]) + 1
-    want = 7 if has_labels else 6
-    pos = np.empty((n, 3))
-    col = np.empty((n, 3))
-    lab = np.empty(n, dtype=np.int64) if has_labels else None
-    for i in range(n):
-        if i + 1 >= len(lines):
-            raise ParseError("truncated PCTXT file", offset=len(data))
-        fields = lines[i + 1].split()
-        if len(fields) != want:
-            raise ParseError(f"expected {want} fields on point line {i}", offset=offset)
-        try:
-            vals = [float(x) for x in fields[:6]]
-            if has_labels:
-                lab[i] = int(fields[6])
-        except ValueError:
-            raise ParseError(f"unparseable number on point line {i}", offset=offset) from None
-        pos[i] = vals[:3]
-        col[i] = vals[3:]
-        offset += len(lines[i + 1]) + 1
-    if col.size and (col.min() < 0.0 or col.max() > 1.0):
-        raise RangeError("PCTXT colors outside [0,1]")
-    try:
-        return PointCloud(pos, col, lab)
-    except ValueError as e:
-        raise RangeError(str(e)) from None
 
 
 # ── images (binary PPM) ──────────────────────────────────────────────────
@@ -128,95 +58,6 @@ def read_image(path) -> Image:
         )
     raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(h, w, 3)
     return Image(raw.astype(np.float64) / 255.0)
-
-
-# ── cameras ──────────────────────────────────────────────────────────────
-
-def write_camera(path, intr: CameraIntrinsics, pose: Pose) -> None:
-    rt = np.hstack([pose.rotation, pose.translation[:, None]])  # 3x4 row-major
-    lines = [
-        f"fx={_fmt17(intr.fx)}",
-        f"fy={_fmt17(intr.fy)}",
-        f"cx={_fmt17(intr.cx)}",
-        f"cy={_fmt17(intr.cy)}",
-        f"width={intr.width}",
-        f"height={intr.height}",
-        "pose=" + " ".join(_fmt17(v) for v in rt.ravel()),
-    ]
-    with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n").encode("ascii"))
-
-
-def read_camera(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    fields = {}
-    offset = 0
-    for line in data.split(b"\n"):
-        if not line:
-            offset += 1
-            continue
-        if b"=" not in line:
-            raise ParseError("expected key=value line", offset=offset)
-        key, _, value = line.partition(b"=")
-        fields[key.decode("ascii")] = value.decode("ascii")
-        offset += len(line) + 1
-    for key in ("fx", "fy", "cx", "cy", "width", "height", "pose"):
-        if key not in fields:
-            raise ParseError(f"missing camera field '{key}'", offset=len(data))
-    try:
-        intr = CameraIntrinsics(
-            fx=float(fields["fx"]),
-            fy=float(fields["fy"]),
-            cx=float(fields["cx"]),
-            cy=float(fields["cy"]),
-            width=int(fields["width"]),
-            height=int(fields["height"]),
-        )
-    except ValueError as e:
-        raise RangeError(f"bad intrinsics: {e}") from None
-    vals = fields["pose"].split()
-    if len(vals) != 12:
-        raise ParseError("pose must have 12 numbers", offset=len(data))
-    try:
-        rt = np.array([float(v) for v in vals]).reshape(3, 4)
-    except ValueError:
-        raise ParseError("unparseable pose number", offset=len(data)) from None
-    try:
-        pose = Pose(rt[:, :3], rt[:, 3])
-    except ValueError as e:
-        raise RangeError(f"bad pose: {e}") from None
-    return intr, pose
-
-
-# ── feature dumps ────────────────────────────────────────────────────────
-
-FEAT_MAGIC = b"FEATF32 v1\n"
-
-
-def write_features(path, features: np.ndarray) -> None:
-    arr = np.ascontiguousarray(features, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(FEAT_MAGIC)
-        f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        f.write(arr.tobytes())
-
-
-def read_features(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(FEAT_MAGIC):
-        raise ParseError("bad FEATF32 magic", offset=0)
-    head_end = len(FEAT_MAGIC) + 8
-    if len(data) < head_end:
-        raise ParseError("truncated FEATF32 header", offset=len(data))
-    n, d = struct.unpack_from("<II", data, len(FEAT_MAGIC))
-    need = head_end + n * d * 4
-    if len(data) < need:
-        raise ParseError(f"truncated FEATF32 payload", offset=len(data))
-    return np.frombuffer(data[head_end:need], dtype="<f4").reshape(n, d).copy()
 
 
 # ── correspondences ──────────────────────────────────────────────────────
