@@ -63,8 +63,9 @@ class HorizontalFlip:
 class ColorJitter:
     """Multiplicative factor ranges; None disables a component.
 
-    Applied in fixed order brightness -> contrast -> saturation, then the
-    result is clamped to [0,1].
+    Jitters image pixels in a TransformSpec2D and point colours in a
+    TransformSpec3D. Applied in fixed order brightness -> contrast ->
+    saturation, then the result is clamped to [0,1].
     """
 
     brightness: tuple | None = None
@@ -123,28 +124,13 @@ class PointDropout:
 
 
 @dataclass(frozen=True)
-class ColorJitter3D:
-    brightness: tuple | None = None
-    contrast: tuple | None = None
-    saturation: tuple | None = None
-
-    def __post_init__(self):
-        for name in ("brightness", "contrast", "saturation"):
-            rng = getattr(self, name)
-            if rng is not None:
-                lo, hi = rng
-                if not (0.0 <= lo <= hi):
-                    raise ValueError(f"bad {name} range {rng}")
-
-
-@dataclass(frozen=True)
 class TransformSpec3D:
     ops: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            if not isinstance(op, (RotationZ, PointDropout, ColorJitter3D)):
+            if not isinstance(op, (RotationZ, PointDropout, ColorJitter)):
                 raise ValueError(f"unknown 3D transform {op!r}")
 
 
@@ -407,7 +393,7 @@ def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
             new_of_current[keep] = np.arange(int(keep.sum()))
             alive = index_map >= 0
             index_map[alive] = new_of_current[index_map[alive]]
-        elif isinstance(op, ColorJitter3D):
+        elif isinstance(op, ColorJitter):
             col = _apply_jitter(col, op, rng)
 
     return PointCloud(pos, col, lab), index_map, (r_tot, t_tot)

@@ -1,17 +1,13 @@
 """Exception types shared across the package.
 
-Out-of-view projection outcomes are NOT exceptions (they are ordinary
-filtering results, see geometry.OutOfView); everything here signals a
-broken precondition, malformed data, or an aborted run.
+Points that project out of view are NOT errors: projection reports them
+through a validity mask (see geometry.project_points). Everything here
+signals a broken precondition, malformed data, or an aborted run.
 """
 
 
 class PixpointError(Exception):
     """Base class for all package-specific errors."""
-
-
-class DegenerateDepth(PixpointError):
-    """Unprojection requested with depth <= 0."""
 
 
 class DegenerateCrop(PixpointError):
@@ -60,17 +56,3 @@ class IterationStarved(PixpointError):
 
 class PlacementFailure(PixpointError):
     """Could not place a camera in free space within the retry budget."""
-
-
-class ParseError(PixpointError):
-    """Malformed file content.
-
-    Attributes:
-        offset: byte offset at which parsing failed (best effort).
-    """
-
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset

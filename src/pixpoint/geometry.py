@@ -13,12 +13,9 @@ Coordinate conventions (OpenCV-style):
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import DegenerateDepth
 
 BEHIND_EPS = 1e-9  # camera-frame depth below this counts as behind the camera
 
@@ -63,6 +60,8 @@ class Pose:
             raise ValueError(f"bad pose shapes {r.shape}, {t.shape}")
         if not np.abs(r.T @ r - np.eye(3)).max() <= 1e-9:  # NaN fails too
             raise ValueError("rotation is not orthonormal within 1e-9")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("translation contains non-finite values")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not 1 within 1e-9")
         object.__setattr__(self, "rotation", r)
@@ -101,7 +100,7 @@ class PointCloud:
             raise ValueError(f"colors shape {c.shape} != positions shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("positions contain non-finite values")
-        if c.size and (c.min() < 0.0 or c.max() > 1.0):
+        if c.size and not (c.min() >= 0.0 and c.max() <= 1.0):  # NaN fails too
             raise ValueError("colors outside [0,1]")
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "colors", c)
@@ -125,7 +124,7 @@ class Image:
         px = _readonly(self.pixels)
         if px.ndim != 3 or px.shape[2] != 3:
             raise ValueError(f"pixels must be (H,W,3), got {px.shape}")
-        if px.size and (px.min() < 0.0 or px.max() > 1.0):
+        if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):  # NaN fails too
             raise ValueError("pixel values outside [0,1]")
         object.__setattr__(self, "pixels", px)
 
@@ -136,13 +135,6 @@ class Image:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-
-class OutOfView(enum.Enum):
-    """Why a point produced no pixel. A normal filtering outcome, not an error."""
-
-    BEHIND_CAMERA = "behind_camera"
-    OUTSIDE_FRAME = "outside_frame"
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,6 @@ class CorrespondenceSet:
     u: np.ndarray  # (n,) float64, continuous column
     v: np.ndarray  # (n,) float64, continuous row
     depth: np.ndarray  # (n,) float64, metres
-    camera_id: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "point_index", _readonly(self.point_index, np.int64))
@@ -181,19 +172,6 @@ class CorrespondenceSet:
         return np.floor(self.v + 0.5).astype(np.int64)
 
 
-def project_point(p, pose: Pose, intr: CameraIntrinsics):
-    """Project one world point. Returns (u, v, depth) or an OutOfView reason."""
-    p = np.asarray(p, dtype=np.float64)
-    q = pose.rotation @ p + pose.translation
-    if q[2] <= BEHIND_EPS:
-        return OutOfView.BEHIND_CAMERA
-    u = intr.cx + intr.fx * q[0] / q[2]
-    v = intr.cy + intr.fy * q[1] / q[2]
-    if not (0.0 <= u < intr.width and 0.0 <= v < intr.height):
-        return OutOfView.OUTSIDE_FRAME
-    return (u, v, q[2])
-
-
 def project_points(positions: np.ndarray, pose: Pose, intr: CameraIntrinsics):
     """Vectorized projection of an (N,3) array.
 
@@ -211,19 +189,7 @@ def project_points(positions: np.ndarray, pose: Pose, intr: CameraIntrinsics):
     return u, v, z, valid
 
 
-def unproject(u: float, v: float, depth: float, pose: Pose, intr: CameraIntrinsics) -> np.ndarray:
-    """Exact inverse of project_point for positive depth."""
-    if not depth > 0:
-        raise DegenerateDepth(f"depth must be positive, got {depth}")
-    if not (np.isfinite(u) and np.isfinite(v)):
-        raise ValueError("pixel coordinates must be finite")
-    q = np.array([(u - intr.cx) / intr.fx * depth, (v - intr.cy) / intr.fy * depth, depth])
-    return pose.rotation.T @ (q - pose.translation)
-
-
-def build_correspondences(
-    cloud: PointCloud, pose: Pose, intr: CameraIntrinsics, camera_id: int = 0
-) -> CorrespondenceSet:
+def build_correspondences(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics) -> CorrespondenceSet:
     """Project every point and keep the z-buffer winner per integer pixel.
 
     Depth ties within a pixel are broken by the lowest point index.
@@ -239,7 +205,7 @@ def build_correspondences(
     idx = np.flatnonzero(valid)
     if idx.size == 0:
         empty = np.empty(0)
-        return CorrespondenceSet(np.empty(0, np.int64), empty, empty, empty, camera_id)
+        return CorrespondenceSet(np.empty(0, np.int64), empty, empty, empty)
     key = iv[idx] * intr.width + iu[idx]
     # sort by (pixel, depth, point index); first row per pixel wins
     order = np.lexsort((idx, z[idx], key))
@@ -247,7 +213,7 @@ def build_correspondences(
     first = np.ones(key_sorted.shape[0], dtype=bool)
     first[1:] = key_sorted[1:] != key_sorted[:-1]
     win = idx[order][first]
-    return CorrespondenceSet(win, u[win], v[win], z[win], camera_id)
+    return CorrespondenceSet(win, u[win], v[win], z[win])
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,7 @@
-"""Fixed small encoders with analytic gradients and checkpoint I/O."""
+"""Fixed small encoders with analytic gradients."""
 
-from .checkpoint import (
-    checkpoint_checksum,
-    load_checkpoint,
-    load_model_2d,
-    load_model_3d,
-    save_checkpoint,
-    save_model_2d,
-    save_model_3d,
-)
+from .checkpoint import checkpoint_checksum
 from .conv2d import encode_images_backward, encode_images_forward
-from .gradcheck import gradient_check
 from .head import head_backward, head_forward
 from .params import (
     DEFAULT_EMBED_DIM,
@@ -33,17 +24,10 @@ __all__ = [
     "encode_images_backward",
     "encode_images_forward",
     "encode_points",
-    "gradient_check",
     "head_backward",
     "head_forward",
     "knn_from_table",
     "knn_indices",
-    "load_checkpoint",
-    "load_model_2d",
-    "load_model_3d",
     "point_backward",
     "point_forward",
-    "save_checkpoint",
-    "save_model_2d",
-    "save_model_3d",
 ]

@@ -2,8 +2,8 @@
 
 All tensors are float64. Initialization is uniform in +-sqrt(6 / fan_in)
 per layer, drawn deterministically from a seed. Containers expose their
-tensors as ordered name->array dicts so the optimizer, gradient checker,
-and checkpoint code can treat models uniformly.
+tensors as ordered name->array dicts, and rebuild from them, so the
+optimizer and the parameter checksum treat every model alike.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ class _TensorStruct:
         if unknown:
             raise ValueError(f"unexpected tensors {sorted(unknown)} for {cls.__name__}")
         return cls(**tensors, **extra)
-
-    def copy(self):
-        return type(self)(
-            **{
-                f.name: (v.copy() if isinstance(v := getattr(self, f.name), np.ndarray) else v)
-                for f in fields(self)
-            }
-        )
 
 
 @dataclass

@@ -38,7 +38,6 @@ import numpy as np
 
 from .augment import (
     ColorJitter,
-    ColorJitter3D,
     Grayscale,
     HorizontalFlip,
     PointDropout,
@@ -99,7 +98,7 @@ def default_spec_3d() -> TransformSpec3D:
         (
             RotationZ(angle_range=(0.0, 2.0 * np.pi - 1e-9)),
             PointDropout(keep_prob=0.9),
-            ColorJitter3D(brightness=(0.8, 1.2), contrast=(0.8, 1.2), saturation=(0.8, 1.2)),
+            ColorJitter(brightness=(0.8, 1.2), contrast=(0.8, 1.2), saturation=(0.8, 1.2)),
         )
     )
 
@@ -195,6 +194,12 @@ class ScenePair:
     image: Image
     pose: Pose
     intrinsics: CameraIntrinsics
+
+    def __post_init__(self):
+        got = (self.image.width, self.image.height)
+        want = (self.intrinsics.width, self.intrinsics.height)
+        if got != want:
+            raise ValueError(f"image is {got[0]}x{got[1]}, intrinsics are {want[0]}x{want[1]}")
 
 
 def pairs_from_scene(scene) -> list:

@@ -206,9 +206,9 @@ def place_camera(rng, room_extent, boxes, orient_jitter_deg) -> Pose:
     raise PlacementFailure("no free camera position found in 100 attempts")
 
 
-def render_view(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics, camera_id=0) -> CameraView:
+def render_view(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics) -> CameraView:
     """Splat the cloud through the z-buffer; pixels without a point stay gray."""
-    corrs = build_correspondences(cloud, pose, intr, camera_id)
+    corrs = build_correspondences(cloud, pose, intr)
     pixels = np.full((intr.height, intr.width, 3), BACKGROUND_COLOR, dtype=np.float64)
     pixels[corrs.pixel_rows(), corrs.pixel_columns()] = cloud.colors[corrs.point_index]
     return CameraView(pose, intr, Image(pixels), corrs)
@@ -261,7 +261,7 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     f = (w / 2.0) / math.tan(math.radians(cfg.hfov_deg) / 2.0)
     intr = CameraIntrinsics(fx=f, fy=f, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
     cameras = []
-    for cam_id in range(cfg.n_cameras):
+    for _ in range(cfg.n_cameras):
         pose = place_camera(rng, cfg.room_extent, boxes, cfg.orient_jitter_deg)
-        cameras.append(render_view(cloud, pose, intr, camera_id=cam_id))
+        cameras.append(render_view(cloud, pose, intr))
     return SyntheticScene(cloud=cloud, cameras=cameras, seed=cfg.seed)

@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from ..errors import NonFiniteLoss
-from ..rngutil import rng_for
+from pixpoint.errors import NonFiniteLoss
+from pixpoint.rngutil import rng_for
 
 
 def gradient_check(loss_fn, params: dict, eps: float = 1e-4, rng_seed: int = 0, n_coords: int = 200):

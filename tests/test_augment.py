@@ -10,7 +10,6 @@ import pytest
 from pixpoint import augment, pipeline
 from pixpoint.augment import (
     ColorJitter,
-    ColorJitter3D,
     CoordMap,
     Grayscale,
     HorizontalFlip,
@@ -270,7 +269,7 @@ class TestAugmentCloud:
 
     def test_jitter_clamps_and_keeps_geometry(self):
         c = self.cloud(n=200, seed=4)
-        spec = TransformSpec3D((ColorJitter3D((0.0, 3.0), (0.0, 3.0), (0.0, 3.0)),))
+        spec = TransformSpec3D((ColorJitter((0.0, 3.0), (0.0, 3.0), (0.0, 3.0)),))
         out, _, _ = augment_cloud(c, spec, rng_seed=11)
         assert out.colors.min() >= 0.0 and out.colors.max() <= 1.0
         assert np.array_equal(out.positions, c.positions)

@@ -9,15 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from pixpoint.errors import DegenerateDepth
 from pixpoint.geometry import (
     CameraIntrinsics,
-    OutOfView,
+    Image,
     PointCloud,
     Pose,
     build_correspondences,
-    project_point,
-    unproject,
+    project_points,
     voxelize,
 )
 
@@ -93,54 +91,60 @@ def loop_majority_labels(labels, inverse, m):
     return out
 
 
-# ── project / unproject ─────────────────────────────────────────────────
+# ── projection ───────────────────────────────────────────────────────────
+
+def project_one(p):
+    """(u, v, depth, valid) of one point under the identity pose and simple_camera()."""
+    u, v, d, valid = project_points(np.array([p], float), Pose.identity(), simple_camera())
+    return float(u[0]), float(v[0]), float(d[0]), bool(valid[0])
+
+
+def unproject_inline(u, v, d, pose, intr):
+    """Inverse of the projection contract for positive depth."""
+    q = np.stack([(u - intr.cx) / intr.fx * d, (v - intr.cy) / intr.fy * d, d], axis=-1)
+    return (q - pose.translation) @ pose.rotation
+
 
 class TestProjection:
     def test_on_optical_axis(self):
-        intr = simple_camera()
-        u, v, d = project_point((0.0, 0.0, 2.0), Pose.identity(), intr)
-        assert (u, v, d) == (50.0, 50.0, 2.0)
+        assert project_one((0.0, 0.0, 2.0)) == (50.0, 50.0, 2.0, True)
 
     def test_similar_triangles(self):
-        intr = simple_camera()
-        u, v, d = project_point((0.2, -0.1, 1.0), Pose.identity(), intr)
+        u, v, d, valid = project_one((0.2, -0.1, 1.0))
+        assert valid
         assert np.allclose((u, v, d), (70.0, 40.0, 1.0), atol=1e-12)
 
     def test_behind_camera(self):
-        intr = simple_camera()
-        assert project_point((0, 0, -1.0), Pose.identity(), intr) is OutOfView.BEHIND_CAMERA
+        for p in ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e-10)):
+            _, _, d, valid = project_one(p)
+            assert d <= 1e-9 and not valid
 
     def test_outside_frame(self):
-        intr = simple_camera()
-        assert project_point((10.0, 0, 1.0), Pose.identity(), intr) is OutOfView.OUTSIDE_FRAME
+        u, _, d, valid = project_one((10.0, 0.0, 1.0))
+        assert d == 1.0 and u >= 100 and not valid
 
-    def test_unproject_examples(self):
-        intr = simple_camera()
-        assert np.allclose(unproject(50, 50, 2.0, Pose.identity(), intr), (0, 0, 2))
-        assert np.allclose(unproject(70, 40, 1.0, Pose.identity(), intr), (0.2, -0.1, 1.0))
-
-    def test_unproject_rejects_nonpositive_depth(self):
-        intr = simple_camera()
-        with pytest.raises(DegenerateDepth):
-            unproject(50, 50, 0.0, Pose.identity(), intr)
+    def test_frame_is_half_open(self):
+        # u = x / z * 100 + 50 and v alike: 0 is inside, width and height are not
+        assert project_one((-0.5, -0.5, 1.0)) == (0.0, 0.0, 1.0, True)
+        assert project_one((0.5, 0.0, 1.0)) == (100.0, 50.0, 1.0, False)
+        assert project_one((0.0, 0.5, 1.0)) == (50.0, 100.0, 1.0, False)
+        assert project_one((0.49, 0.49, 1.0))[3]
 
     def test_round_trip_10k_random_points(self):
-        # criterion: unproject(project(p)) = p within 1e-9 over 10,000 samples
-        rng = np.random.default_rng(7)
+        # the two hand-worked examples, then: inverse(project(p)) = p within
+        # 1e-9 over 10,000 in-view samples under a random pose
         intr = simple_camera()
+        uvd = np.array([(50.0, 50.0, 2.0), (70.0, 40.0, 1.0)])
+        examples = unproject_inline(*uvd.T, Pose.identity(), intr)
+        assert np.allclose(examples, [(0, 0, 2), (0.2, -0.1, 1.0)])
+        rng = np.random.default_rng(7)
         pose = random_pose(rng)
-        done = 0
-        worst = 0.0
-        while done < 10_000:
-            p = rng.uniform(-3, 3, size=3)
-            hit = project_point(p, pose, intr)
-            if isinstance(hit, OutOfView):
-                continue
-            u, v, d = hit
-            back = unproject(u, v, d, pose, intr)
-            worst = max(worst, float(np.linalg.norm(back - p)))
-            done += 1
-        assert worst < 1e-9
+        p = rng.uniform(-3, 3, size=(250_000, 3))  # about 5% land in view
+        u, v, d, valid = project_points(p, pose, intr)
+        assert valid.sum() >= 10_000
+        keep = np.flatnonzero(valid)[:10_000]
+        back = unproject_inline(u[keep], v[keep], d[keep], pose, intr)
+        assert np.linalg.norm(back - p[keep], axis=1).max() < 1e-9
 
 
 class TestPoseValidation:
@@ -156,6 +160,31 @@ class TestPoseValidation:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             Pose(r, np.zeros(3))
+
+    def test_rejects_non_finite_translation(self):
+        for t in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
+            with pytest.raises(ValueError):
+                Pose(np.eye(3), np.array(t))
+
+
+class TestUnitRangeValidation:
+    # NaN compares False both ways, so the range check must reject it too
+    def test_image_rejects_nan_and_out_of_range_pixels(self):
+        for bad in (np.nan, -0.01, 1.01):
+            px = np.full((2, 3, 3), 0.5)
+            px[1, 2, 0] = bad
+            with pytest.raises(ValueError):
+                Image(px)
+        Image(np.stack([np.zeros((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5)], axis=-1))
+
+    def test_point_cloud_rejects_nan_and_out_of_range_colors(self):
+        pos = np.zeros((4, 3))
+        for bad in (np.nan, -0.01, 1.01):
+            col = np.full((4, 3), 0.5)
+            col[3, 1] = bad
+            with pytest.raises(ValueError):
+                PointCloud(pos, col)
+        PointCloud(pos, np.tile([0.0, 1.0, 0.5], (4, 1)))
 
 
 # ── correspondences ──────────────────────────────────────────────────────

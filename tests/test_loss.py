@@ -6,11 +6,11 @@ Scalar expectations were computed directly from the loss formula
 
 import numpy as np
 import pytest
+from gradcheck import gradient_check
 
 from pixpoint import loss
 from pixpoint.errors import BadTemperature, NotNormalized
 from pixpoint.loss import ALL_IN_BATCH, OTHER_QUERIES, LossConfig, info_nce
-from pixpoint.nn import gradient_check
 
 
 def unit_rows(n, m, seed):

@@ -17,16 +17,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from gradcheck import gradient_check
 
 from pixpoint import pipeline
 from pixpoint.errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss
-from pixpoint.geometry import PointCloud, voxelize
+from pixpoint.geometry import CameraIntrinsics, Image, PointCloud, voxelize
 from pixpoint.nn import (
     EncoderParams2D,
     EncoderParams3D,
     HeadParams,
     checkpoint_checksum,
-    gradient_check,
     knn_indices,
 )
 from pixpoint.optim import lr_schedule
@@ -251,6 +251,16 @@ def test_config_rejects_counts_below_one(config, field):
     for value in (0, -1):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
             config(**{field: value})
+
+
+def test_scene_pair_rejects_image_of_another_size(dataset):
+    pair = dataset[0]
+    assert (pair.image.width, pair.image.height) == (24, 24)
+    small = CameraIntrinsics(fx=8.0, fy=8.0, cx=8.0, cy=8.0, width=16, height=16)
+    with pytest.raises(ValueError, match="24x24.*16x16"):
+        pipeline.ScenePair(pair.cloud, pair.image, pair.pose, small)
+    with pytest.raises(ValueError):
+        pipeline.ScenePair(pair.cloud, Image(np.zeros((24, 16, 3))), pair.pose, pair.intrinsics)
 
 
 @pytest.mark.parametrize(

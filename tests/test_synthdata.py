@@ -6,7 +6,7 @@ import pytest
 
 from pixpoint import synthdata
 from pixpoint.errors import PlacementFailure
-from pixpoint.geometry import OutOfView, project_point
+from pixpoint.geometry import project_points
 from pixpoint.rngutil import rng_for
 from pixpoint.synthdata import (
     BACKGROUND_COLOR,
@@ -67,13 +67,12 @@ class TestGenerateScene:
         for view in scene.cameras:
             cs = view.correspondences
             assert len(cs) > 0
-            for i in range(len(cs)):
-                hit = project_point(
-                    scene.cloud.positions[cs.point_index[i]], view.pose, view.intrinsics
-                )
-                assert not isinstance(hit, OutOfView)
-                assert abs(hit[0] - cs.u[i]) < 1e-6
-                assert abs(hit[1] - cs.v[i]) < 1e-6
+            u, v, _, valid = project_points(
+                scene.cloud.positions[cs.point_index], view.pose, view.intrinsics
+            )
+            assert valid.all()
+            assert np.abs(u - cs.u).max() < 1e-6
+            assert np.abs(v - cs.v).max() < 1e-6
 
     def test_rendered_pixels_match_point_colors(self):
         scene = generate_scene(small_cfg())
