@@ -130,13 +130,20 @@ class TestProjection:
         assert project_one((0.0, 0.5, 1.0)) == (50.0, 100.0, 1.0, False)
         assert project_one((0.49, 0.49, 1.0))[3]
 
-    def test_round_trip_10k_random_points(self):
-        # the two hand-worked examples, then: inverse(project(p)) = p within
-        # 1e-9 over 10,000 in-view samples under a random pose
+    def test_unproject_examples(self):
+        # the two hand-worked examples, inverted and projected back
         intr = simple_camera()
         uvd = np.array([(50.0, 50.0, 2.0), (70.0, 40.0, 1.0)])
         examples = unproject_inline(*uvd.T, Pose.identity(), intr)
         assert np.allclose(examples, [(0, 0, 2), (0.2, -0.1, 1.0)])
+        u, v, d, valid = project_points(examples, Pose.identity(), intr)
+        assert valid.all()
+        assert np.allclose(np.stack([u, v, d], axis=-1), uvd, atol=1e-12)
+
+    def test_round_trip_10k_random_points(self):
+        # inverse(project(p)) = p within 1e-9 over 10,000 in-view samples
+        # under a random pose
+        intr = simple_camera()
         rng = np.random.default_rng(7)
         pose = random_pose(rng)
         p = rng.uniform(-3, 3, size=(250_000, 3))  # about 5% land in view
