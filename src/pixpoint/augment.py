@@ -103,7 +103,7 @@ class TransformSpec2D:
 
 @dataclass(frozen=True)
 class RotationZ:
-    """Rotation about the world z (gravity) axis through the origin."""
+    """Rotation about the cloud's z (gravity) axis through its origin."""
 
     angle_range: tuple = (0.0, 2.0 * np.pi)
 
@@ -357,10 +357,11 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed
 # ── 3D augmentation ──────────────────────────────────────────────────────
 
 def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
-    """Apply spec in order; returns (cloud, index_map, (R, t)).
+    """Apply spec in order; returns (cloud, index_map).
 
-    index_map sends each original point to its output row, -1 if dropped.
-    (R, t) is the accumulated rigid transform applied to positions.
+    index_map sends each original point to its output row, -1 if dropped;
+    no op reorders points. Stage 2 matches a scan to pixels before this
+    runs, so a slot's matches are the z-buffer winners that survive dropout.
     """
     if len(cloud) == 0:
         raise ValueError("cloud must be nonempty")
@@ -369,8 +370,6 @@ def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
     col = np.array(cloud.colors)
     lab = None if cloud.labels is None else np.array(cloud.labels)
     index_map = np.arange(len(cloud), dtype=np.int64)
-    r_tot = np.eye(3)
-    t_tot = np.zeros(3)
 
     for op in spec.ops:
         if isinstance(op, RotationZ):
@@ -378,8 +377,6 @@ def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
             c, s = np.cos(theta), np.sin(theta)
             r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             pos = pos @ r.T
-            r_tot = r @ r_tot
-            t_tot = r @ t_tot
         elif isinstance(op, PointDropout):
             keep = rng.random(pos.shape[0]) < op.keep_prob
             if not keep.any():
@@ -396,4 +393,4 @@ def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
         elif isinstance(op, ColorJitter):
             col = _apply_jitter(col, op, rng)
 
-    return PointCloud(pos, col, lab), index_map, (r_tot, t_tot)
+    return PointCloud(pos, col, lab), index_map

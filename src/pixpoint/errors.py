@@ -10,6 +10,10 @@ class PixpointError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(PixpointError, ValueError):
+    """A data class (image, cloud, pose, camera, matches, pair) got bad values."""
+
+
 class DegenerateCrop(PixpointError):
     """A crop window collapsed below 1x1 source pixels."""
 

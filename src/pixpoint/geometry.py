@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInput
+
 BEHIND_EPS = 1e-9  # camera-frame depth below this counts as behind the camera
 
 
@@ -39,11 +41,11 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+            raise InvalidInput(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
         if not (self.width > 0 and self.height > 0):
-            raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
+            raise InvalidInput(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError(f"principal point ({self.cx},{self.cy}) outside image")
+            raise InvalidInput(f"principal point ({self.cx},{self.cy}) outside image")
 
 
 @dataclass(frozen=True)
@@ -57,30 +59,19 @@ class Pose:
         r = _readonly(self.rotation)
         t = _readonly(self.translation)
         if r.shape != (3, 3) or t.shape != (3,):
-            raise ValueError(f"bad pose shapes {r.shape}, {t.shape}")
+            raise InvalidInput(f"bad pose shapes {r.shape}, {t.shape}")
         if not np.abs(r.T @ r - np.eye(3)).max() <= 1e-9:  # NaN fails too
-            raise ValueError("rotation is not orthonormal within 1e-9")
+            raise InvalidInput("rotation is not orthonormal within 1e-9")
         if not np.all(np.isfinite(t)):
-            raise ValueError("translation contains non-finite values")
+            raise InvalidInput("translation contains non-finite values")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant is not 1 within 1e-9")
+            raise InvalidInput("rotation determinant is not 1 within 1e-9")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
-
-    def compose_with_world_transform(self, r_w: np.ndarray, t_w: np.ndarray) -> "Pose":
-        """Pose that views points already transformed by p' = r_w @ p + t_w.
-
-        If this pose maps world point p to camera frame, the returned pose
-        maps p' to the same camera-frame point, so images rendered of the
-        original and transformed cloud agree pixel for pixel.
-        """
-        r_new = self.rotation @ np.asarray(r_w, dtype=np.float64).T
-        t_new = self.translation - r_new @ np.asarray(t_w, dtype=np.float64)
-        return Pose(r_new, t_new)
 
 
 @dataclass(frozen=True)
@@ -95,19 +86,19 @@ class PointCloud:
         p = _readonly(self.positions)
         c = _readonly(self.colors)
         if p.ndim != 2 or p.shape[1] != 3:
-            raise ValueError(f"positions must be (N,3), got {p.shape}")
+            raise InvalidInput(f"positions must be (N,3), got {p.shape}")
         if c.shape != p.shape:
-            raise ValueError(f"colors shape {c.shape} != positions shape {p.shape}")
+            raise InvalidInput(f"colors shape {c.shape} != positions shape {p.shape}")
         if not np.all(np.isfinite(p)):
-            raise ValueError("positions contain non-finite values")
+            raise InvalidInput("positions contain non-finite values")
         if c.size and not (c.min() >= 0.0 and c.max() <= 1.0):  # NaN fails too
-            raise ValueError("colors outside [0,1]")
+            raise InvalidInput("colors outside [0,1]")
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "colors", c)
         if self.labels is not None:
             lab = _readonly(self.labels, dtype=np.int64)
             if lab.shape != (p.shape[0],):
-                raise ValueError(f"labels shape {lab.shape} != ({p.shape[0]},)")
+                raise InvalidInput(f"labels shape {lab.shape} != ({p.shape[0]},)")
             object.__setattr__(self, "labels", lab)
 
     def __len__(self):
@@ -123,9 +114,9 @@ class Image:
     def __post_init__(self):
         px = _readonly(self.pixels)
         if px.ndim != 3 or px.shape[2] != 3:
-            raise ValueError(f"pixels must be (H,W,3), got {px.shape}")
+            raise InvalidInput(f"pixels must be (H,W,3), got {px.shape}")
         if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):  # NaN fails too
-            raise ValueError("pixel values outside [0,1]")
+            raise InvalidInput("pixel values outside [0,1]")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -158,9 +149,12 @@ class CorrespondenceSet:
         object.__setattr__(self, "depth", _readonly(self.depth))
         n = self.point_index.shape[0]
         if not (self.u.shape == self.v.shape == self.depth.shape == (n,)):
-            raise ValueError("correspondence arrays must share length")
-        if n and self.depth.min() <= 0:
-            raise ValueError("correspondence depths must be positive")
+            raise InvalidInput("correspondence arrays must share length")
+        # NaN fails every comparison, so it fails these checks too
+        if n and not (np.abs(self.u).max() < np.inf and np.abs(self.v).max() < np.inf):
+            raise InvalidInput("correspondence pixel coordinates must be finite")
+        if n and not (0 < self.depth.min() and self.depth.max() < np.inf):
+            raise InvalidInput("correspondence depths must be positive and finite")
 
     def __len__(self):
         return self.point_index.shape[0]

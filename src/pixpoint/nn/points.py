@@ -21,7 +21,8 @@ dropout from it (knn_from_table).
 point_forward returns features only at the requested rows. The per-point
 MLP runs on every point, because neighbours read its output; the max
 aggregation and the output MLP run at the rows only. Stage 2 asks for the
-points its loss samples, encode_points for all of them.
+points its loss samples, which are the scan's own z-buffer winners that
+survive dropout; encode_points asks for all of them.
 """
 
 from __future__ import annotations

@@ -2,16 +2,18 @@
 
 Stage 1 trains the 2D encoder + head with a pixel-level contrastive loss:
 two augmented views per image, positives are output pixels whose source
-coordinates coincide in the original image, negatives are drawn from all
-sampled pixels of the whole batch (optionally capped via negative_cap).
+coordinates coincide in the original image, negatives are a random pool
+of at most negative_cap of the batch's sampled pixels.
 
-Stage 2 freezes the 2D model, precomputes a unit-norm embedding per pixel
-of every scene image, and trains the 3D encoder + head so point
-embeddings match the frozen pixel embedding at their projected pixel;
-negatives are the other sampled points (or points and pixels). Each
-distinct scan is voxelised once, and its neighbour table is built once,
-when a slot first needs it, for every image that sees the scan. The
-point head runs only at the sampled points.
+Stage 2 freezes the 2D model and trains the 3D encoder + head so point
+embeddings match the frozen pixel embedding at their pixel; negatives are
+the other sampled points (or points and pixels). Set-up voxelises each
+distinct scan once and matches it to each of its pairs' pixels once,
+keeping the frozen embeddings at the z-buffer winners' pixels. A slot's
+matches are the winners that survive its dropout; no slot projects
+again. Each scan's neighbour table is built once, when a slot first
+needs it, for every image that sees the scan. The point head runs only
+at the sampled points.
 
 Both stages are bit-deterministic given their config: every random draw
 derives from (seed, stage, iteration, slot) so a failed batch can be
@@ -49,7 +51,7 @@ from .augment import (
     augment_image,
     match_positive_pixels,
 )
-from .errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss
+from .errors import EmptyCloud, EmptyOverlap, InvalidInput, IterationStarved, NonFiniteLoss
 from .geometry import CameraIntrinsics, Image, PointCloud, Pose, build_correspondences, voxelize
 from .loss import ALL_IN_BATCH, OTHER_QUERIES, LossConfig, info_nce
 from .nn import (
@@ -114,7 +116,7 @@ class Stage1Config:
     spec_b: TransformSpec2D = default_spec_2d()
     feature_dim: int = 16
     embed_dim: int = 16
-    negative_cap: int | None = 512  # None takes every sampled pixel in the batch
+    negative_cap: int = 512  # above 2 x queries the pool is the whole batch
     seed: int = 0
 
     def __post_init__(self):
@@ -124,8 +126,8 @@ class Stage1Config:
             raise ValueError("batch_pairs must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.negative_cap is not None and self.negative_cap < 1:
-            raise ValueError("negative_cap must be >= 1 or None")
+        if not isinstance(self.negative_cap, (int, np.integer)) or self.negative_cap < 1:
+            raise ValueError("negative_cap must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ class ScenePair:
         got = (self.image.width, self.image.height)
         want = (self.intrinsics.width, self.intrinsics.height)
         if got != want:
-            raise ValueError(f"image is {got[0]}x{got[1]}, intrinsics are {want[0]}x{want[1]}")
+            raise InvalidInput(f"image is {got[0]}x{got[1]}, intrinsics are {want[0]}x{want[1]}")
 
 
 def pairs_from_scene(scene) -> list:
@@ -317,23 +319,16 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         nq = z.shape[0] // 2
         zq, zp = z[:nq], z[nq:]
 
-        if cfg.negative_cap is None or cfg.negative_cap >= 2 * nq:
-            out = info_nce(zq, zp, None, LossConfig(tau=cfg.tau, negatives=ALL_IN_BATCH))
-            grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
-        else:
-            pool_idx = rng_iter.choice(2 * nq, size=cfg.negative_cap, replace=False)
-            col_of = np.full(2 * nq, -1, dtype=np.int64)
-            col_of[pool_idx] = np.arange(cfg.negative_cap)
-            excl = np.stack([col_of[:nq], col_of[nq:]], axis=1)
-            out = info_nce(
-                zq,
-                zp,
-                z[pool_idx],
-                LossConfig(tau=cfg.tau, negatives=int(cfg.negative_cap)),
-                exclude_columns=excl,
-            )
-            grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
-            grad_rows[pool_idx] += out.grad_negatives  # pool_idx has no repeats
+        cap = min(int(cfg.negative_cap), 2 * nq)
+        pool_idx = rng_iter.choice(2 * nq, size=cap, replace=False)
+        col_of = np.full(2 * nq, -1, dtype=np.int64)
+        col_of[pool_idx] = np.arange(cap)
+        excl = np.stack([col_of[:nq], col_of[nq:]], axis=1)  # own row and positive
+        out = info_nce(
+            zq, zp, z[pool_idx], LossConfig(tau=cfg.tau, negatives=cap), exclude_columns=excl
+        )
+        grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
+        grad_rows[pool_idx] += out.grad_negatives  # pool_idx has no repeats
 
         grad_sel, head_grads = head_backward(head, head_cache, grad_rows)
         grad_feats = np.zeros_like(feats)
@@ -346,12 +341,16 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
 
 # ── stage 2 ──────────────────────────────────────────────────────────────
 
-def frozen_pixel_embeddings(enc2d: EncoderParams2D, head2d: HeadParams, image: Image):
-    """Unit-norm embedding per pixel, (H, W, M)."""
-    feats, _ = encode_images_forward(enc2d, np.asarray(image.pixels)[None])
-    h, w, d = feats.shape[1:]
-    z, _ = head_forward(head2d, feats.reshape(h * w, d))
-    return z.reshape(h, w, -1)
+def frozen_pixel_embeddings(
+    enc2d: EncoderParams2D, head2d: HeadParams, pair: ScenePair, scan: PointCloud
+):
+    """The points of scan that win the z-buffer in pair's camera, and the
+    unit-norm frozen embedding at each one's pixel: (point_index (n,),
+    targets (n, M))."""
+    corrs = build_correspondences(scan, pair.pose, pair.intrinsics)
+    feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None])
+    targets, _ = head_forward(head2d, feats[0, corrs.pixel_rows(), corrs.pixel_columns()])
+    return corrs.point_index, targets
 
 
 def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
@@ -359,7 +358,9 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
 
     dataset is a list of ScenePair; frozen2d is (EncoderParams2D,
     HeadParams), never updated. Returns (EncoderParams3D, HeadParams,
-    TrainReport). Pairs that share one PointCloud object, as the pairs of
+    TrainReport). A slot's matches are its voxelised scan's own z-buffer
+    winners in the pair's camera that survive the slot's dropout, matched
+    once in set-up. Pairs that share one PointCloud object, as the pairs of
     pairs_from_scene do, share its voxelisation and its neighbour table;
     the cloud is frozen, so this equals giving each pair its own copy.
     """
@@ -376,9 +377,9 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         if id(pair.cloud) not in voxelised:
             voxelised[id(pair.cloud)] = voxelize(pair.cloud, cfg.voxel_size).cloud
         vox = voxelised[id(pair.cloud)]
-        zmap = frozen_pixel_embeddings(enc2d, head2d, pair.image)
-        audit.take(zmap.reshape(-1, zmap.shape[-1]))
-        scenes.append((vox, pair.pose, pair.intrinsics, zmap))
+        point_index, targets = frozen_pixel_embeddings(enc2d, head2d, pair, vox)
+        audit.take(targets)
+        scenes.append((vox, point_index, targets))
 
     enc = EncoderParams3D.initialize(cfg.seed, cfg.feature_dim, cfg.knn)
     head = HeadParams.initialize(derive_seed(cfg.seed, "head3d"), cfg.feature_dim, cfg.embed_dim)
@@ -394,34 +395,32 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         feats_chunks = []
         pos_chunks = []
         for k, scene_idx in enumerate(picks.tolist()):
-            vox, pose, intr, zmap = scenes[scene_idx]
+            vox, point_index, targets = scenes[scene_idx]
             try:
-                cloud_aug, index_map, (r_aug, t_aug) = augment_cloud(
+                cloud_aug, index_map = augment_cloud(
                     vox, cfg.spec3d, derive_seed(cfg.seed, "s2aug", it, k)
                 )
             except EmptyCloud as e:
                 skipped += 1
                 log.warning("iteration %d: scene slot %d skipped (%s)", it, k, e)
                 continue
-            pose_aug = pose.compose_with_world_transform(r_aug, t_aug)
-            corrs = build_correspondences(cloud_aug, pose_aug, intr)
-            if len(corrs) < 2:
+            rows = index_map[point_index]  # -1 where dropout removed a winner
+            alive = np.flatnonzero(rows >= 0)
+            if alive.size < 2:
                 skipped += 1
-                log.warning("iteration %d: scene slot %d yielded %d correspondences", it, k, len(corrs))
+                log.warning("iteration %d: scene slot %d yielded %d correspondences", it, k, alive.size)
                 continue
-            n_take = min(cfg.correspondences_per_pair, len(corrs))
-            pick = rng_for(cfg.seed, "s2pick", it, k).choice(len(corrs), size=n_take, replace=False)
-            point_rows = corrs.point_index[pick]  # z-buffer winners: unique
-            pix_r = corrs.pixel_rows()[pick]
-            pix_c = corrs.pixel_columns()[pick]
+            n_take = min(cfg.correspondences_per_pair, alive.size)
+            rng_pick = rng_for(cfg.seed, "s2pick", it, k)
+            pick = alive[rng_pick.choice(alive.size, size=n_take, replace=False)]
 
             if id(vox) not in tables:
                 width = NEIGHBOUR_TABLE_FACTOR * enc.k
                 tables[id(vox)] = knn_indices(vox.positions, width, by_distance=True)
             nb = knn_from_table(tables[id(vox)], index_map, vox.positions, enc.k)
-            out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb, point_rows)
+            out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb, rows[pick])
             feats_chunks.append(out)
-            pos_chunks.append(zmap[pix_r, pix_c])
+            pos_chunks.append(targets[pick])
             caches.append(cache)
         if not caches:
             raise IterationStarved(f"iteration {it}: every scene of the batch was skipped")

@@ -239,38 +239,42 @@ class TestAugmentCloud:
     def test_identity_spec(self):
         c = self.cloud()
         spec = TransformSpec3D((RotationZ((0.0, 0.0)), PointDropout(1.0)))
-        out, index_map, (r, t) = augment_cloud(c, spec, rng_seed=0)
+        out, index_map = augment_cloud(c, spec, rng_seed=0)
         assert np.allclose(out.positions, c.positions)
         assert np.array_equal(index_map, np.arange(100))
-        assert np.allclose(r, np.eye(3))
-        assert np.allclose(t, 0.0)
 
     def test_quarter_turn(self):
         c = PointCloud(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)))
         halfpi = np.pi / 2.0
-        out, _, (r, t) = augment_cloud(c, TransformSpec3D((RotationZ((halfpi, halfpi)),)), 0)
+        out, _ = augment_cloud(c, TransformSpec3D((RotationZ((halfpi, halfpi)),)), 0)
         assert np.allclose(out.positions[0], (0.0, 1.0, 0.0), atol=1e-9)
-        assert np.allclose(out.positions[0], c.positions @ r.T + t, atol=1e-12)
 
     def test_dropout_survivors_within_3_sigma(self):
         c = self.cloud(n=10_000, seed=1)
-        out, index_map, _ = augment_cloud(c, TransformSpec3D((PointDropout(0.5),)), rng_seed=2)
+        out, index_map = augment_cloud(c, TransformSpec3D((PointDropout(0.5),)), rng_seed=2)
         sigma = np.sqrt(10_000 * 0.25)
         assert abs(len(out) - 5000) < 3 * sigma
         kept = index_map[index_map >= 0]
         assert kept.size == len(out)
         assert np.unique(kept).size == kept.size  # injective
 
-    def test_rigid_matches_reported_transform(self):
+    def test_two_rotations_compose_to_one_about_z(self):
         c = self.cloud(n=50, seed=3)
         spec = TransformSpec3D((RotationZ((0.0, 6.0)), RotationZ((0.0, 6.0))))
-        out, _, (r, t) = augment_cloud(c, spec, rng_seed=7)
-        assert np.allclose(out.positions, c.positions @ r.T + t, atol=1e-12)
+        out, _ = augment_cloud(c, spec, rng_seed=7)
+        assert np.allclose(out.positions[:, 2], c.positions[:, 2], atol=1e-12)
+        radius = np.linalg.norm(c.positions[:, :2], axis=1)
+        assert np.allclose(np.linalg.norm(out.positions[:, :2], axis=1), radius, atol=1e-12)
+        # the linear map that best sends the input to the output is one rotation
+        m = np.linalg.lstsq(c.positions, out.positions, rcond=None)[0].T
+        assert np.allclose(c.positions @ m.T, out.positions, atol=1e-12)
+        assert np.allclose(m.T @ m, np.eye(3), atol=1e-12)
+        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_jitter_clamps_and_keeps_geometry(self):
         c = self.cloud(n=200, seed=4)
         spec = TransformSpec3D((ColorJitter((0.0, 3.0), (0.0, 3.0), (0.0, 3.0)),))
-        out, _, _ = augment_cloud(c, spec, rng_seed=11)
+        out, _ = augment_cloud(c, spec, rng_seed=11)
         assert out.colors.min() >= 0.0 and out.colors.max() <= 1.0
         assert np.array_equal(out.positions, c.positions)
 

@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from pixpoint.errors import InvalidInput, PixpointError
 from pixpoint.geometry import (
     CameraIntrinsics,
+    CorrespondenceSet,
     Image,
     PointCloud,
     Pose,
@@ -18,6 +20,7 @@ from pixpoint.geometry import (
     project_points,
     voxelize,
 )
+from pixpoint.pipeline import ScenePair
 
 
 def simple_camera(w=100, h=100, f=100.0):
@@ -193,6 +196,38 @@ class TestUnitRangeValidation:
                 PointCloud(pos, col)
         PointCloud(pos, np.tile([0.0, 1.0, 0.5], (4, 1)))
 
+    @pytest.mark.parametrize("field", ["u", "v", "depth"])
+    def test_correspondence_set_rejects_non_finite_values(self, field):
+        for bad in (np.nan, np.inf, -np.inf):
+            arrays = {"u": np.array([0.0, 1.0]), "v": np.array([0.0, 1.0]), "depth": np.ones(2)}
+            arrays[field][1] = bad
+            with pytest.raises(InvalidInput):
+                CorrespondenceSet(np.array([0, 1]), **arrays)
+        CorrespondenceSet(np.array([0, 1]), np.zeros(2), np.zeros(2), np.ones(2))
+
+
+def valid_pair_parts():
+    cloud = PointCloud(np.zeros((1, 3)), np.zeros((1, 3)))
+    return cloud, Image(np.zeros((4, 4, 3))), Pose.identity(), simple_camera(w=4, h=4, f=4.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Image(np.full((2, 2, 3), 1.5)),
+        lambda: PointCloud(np.zeros((2, 3)), np.zeros((3, 3))),
+        lambda: Pose(2.0 * np.eye(3), np.zeros(3)),
+        lambda: CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4),
+        lambda: CorrespondenceSet(np.arange(1), np.array([np.nan]), np.ones(1), np.ones(1)),
+        lambda: ScenePair(*valid_pair_parts()[:3], simple_camera(w=8, h=8, f=8.0)),
+    ],
+    ids=["Image", "PointCloud", "Pose", "CameraIntrinsics", "CorrespondenceSet", "ScenePair"],
+)
+def test_data_classes_raise_a_pixpoint_error(make):
+    with pytest.raises(PixpointError):
+        make()
+    ScenePair(*valid_pair_parts())
+
 
 # ── correspondences ──────────────────────────────────────────────────────
 
@@ -277,7 +312,9 @@ class TestCorrespondences:
 
         rig = random_pose(rng)  # reuse as an arbitrary rigid transform
         moved = PointCloud(pts @ rig.rotation.T + rig.translation, cloud.colors)
-        pose2 = pose.compose_with_world_transform(rig.rotation, rig.translation)
+        # the camera that sees each moved point where pose saw the original
+        r2 = pose.rotation @ rig.rotation.T
+        pose2 = Pose(r2, pose.translation - r2 @ rig.translation)
         other = build_correspondences(moved, pose2, intr)
 
         assert np.array_equal(base.point_index, other.point_index)

@@ -681,7 +681,7 @@ class TestKnnFromTable:
         grid = integer_grid()
         cloud = PointCloud(grid, np.full(grid.shape, 0.5))
         spec = TransformSpec3D((RotationZ(angle_range=(0.1, 6.0)), PointDropout(keep_prob=0.8)))
-        _, index_map, _ = augment_cloud(cloud, spec, seed)
+        _, index_map = augment_cloud(cloud, spec, seed)
         table = knn_indices(grid, 3 * self.K, by_distance=True)
         got = knn_from_table(table, index_map, grid, self.K)
         assert np.array_equal(got, brute_knn(grid[index_map >= 0], self.K))

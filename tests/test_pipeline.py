@@ -1,11 +1,14 @@
 """Both training stages run end to end on tiny configurations.
 
 Stage 1: determinism, that computing conv3 only at the sampled pixels
-trains as the dense encoder does, and the starved-iteration error.
+trains as the dense encoder does, that a negative cap above the batch
+scores as ALL_IN_BATCH does, and the starved-iteration error.
 Stage 2: determinism, the untouched frozen stage-1 model, that reading kNN
 from the per-scan neighbour tables trains exactly as an exact search of
-every slot's surviving points would, and that pairs sharing one scan share
-its voxelisation and table yet train as pairs holding copies do.
+every slot's surviving points would, that pairs sharing one scan share
+its voxelisation and table yet train as pairs holding copies do, and that
+each pair is matched once: a slot's matches are the scan's own z-buffer
+winners that survive dropout, with the frozen embeddings at their pixels.
 Both: config validation, a finite-difference check of one whole step's
 gradient, skipped slots counted with the learning rate still following
 the schedule, and a non-finite loss naming the batch that produced it.
@@ -20,13 +23,17 @@ import pytest
 from gradcheck import gradient_check
 
 from pixpoint import pipeline
+from pixpoint.augment import PointDropout, RotationZ, TransformSpec3D
 from pixpoint.errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss
-from pixpoint.geometry import CameraIntrinsics, Image, PointCloud, voxelize
+from pixpoint.geometry import CameraIntrinsics, Image, PointCloud, build_correspondences, voxelize
+from pixpoint.loss import ALL_IN_BATCH, LossConfig
 from pixpoint.nn import (
     EncoderParams2D,
     EncoderParams3D,
     HeadParams,
     checkpoint_checksum,
+    encode_images_forward,
+    head_forward,
     knn_indices,
 )
 from pixpoint.optim import lr_schedule
@@ -143,6 +150,29 @@ def step_gradient_error(dataset, monkeypatch, run, encoder, **extra):
     return gradient_check(loss_fn, start, eps=1e-6, rng_seed=3, n_coords=30)
 
 
+def test_stage1_cap_above_the_batch_scores_all_in_batch(dataset, monkeypatch):
+    real = pipeline.info_nce
+    calls = []
+
+    def recording(queries, positives, *args, **kwargs):
+        out = real(queries, positives, *args, **kwargs)
+        calls.append((queries, positives, out.total))
+        return out
+
+    monkeypatch.setattr(pipeline, "info_nce", recording)
+    _, report = run_stage1(dataset, negative_cap=10**6, iterations=1)
+    queries, positives, total = calls[0]
+    whole = real(queries, positives, None, LossConfig(tau=STAGE1.tau, negatives=ALL_IN_BATCH))
+    assert total == pytest.approx(whole.total, rel=1e-12, abs=0.0)
+    assert report.loss_history[0] == total
+
+
+@pytest.mark.parametrize("cap", [None, 0, 2.5])
+def test_stage1_negative_cap_must_be_a_positive_int(cap):
+    with pytest.raises(ValueError, match="^negative_cap must be an int >= 1$"):
+        pipeline.Stage1Config(negative_cap=cap)
+
+
 def test_stage1_step_gradient_matches_finite_differences(dataset, monkeypatch):
     assert step_gradient_error(dataset, monkeypatch, run_stage1, EncoderParams2D) < 1e-4
 
@@ -231,6 +261,76 @@ def test_each_cloud_is_voxelised_and_searched_once(dataset, monkeypatch, own_clo
     assert len(searched) == len(picked_clouds)
     if not own_clouds:  # two pairs of one scan were picked, so a table was shared
         assert len(clouds) < len(data) and len(picked_clouds) < len(picked)
+
+
+@pytest.mark.parametrize("iterations", [1, 4])
+def test_each_pair_is_matched_once(dataset, monkeypatch, iterations):
+    matched = []
+
+    def counting(cloud, pose, intr):
+        matched.append(pose)
+        return build_correspondences(cloud, pose, intr)
+
+    monkeypatch.setattr(pipeline, "build_correspondences", counting)
+    run_stage2(dataset, iterations=iterations)
+    assert [id(pose) for pose in matched] == [id(pair.pose) for pair in dataset]
+
+
+def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypatch):
+    """Under heavy dropout, every sampled point is a z-buffer winner of the
+    un-augmented voxelised scan that survived, and its positive is the
+    frozen embedding at that winner's pixel."""
+    index_maps, rows, positives = [], [], []
+    augment, forward, loss = pipeline.augment_cloud, pipeline.point_forward, pipeline.info_nce
+
+    def recording_augment(*args):
+        out = augment(*args)
+        index_maps.append(out[1])
+        return out
+
+    def recording_forward(*args):
+        rows.append(args[-1])
+        return forward(*args)
+
+    def recording_loss(queries, pos, *args, **kwargs):
+        positives.append(pos)
+        return loss(queries, pos, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "augment_cloud", recording_augment)
+    monkeypatch.setattr(pipeline, "point_forward", recording_forward)
+    monkeypatch.setattr(pipeline, "info_nce", recording_loss)
+    spec = TransformSpec3D((RotationZ((0.0, 6.0)), PointDropout(0.5)))
+    _, report = run_stage2(dataset, spec3d=spec)
+    assert report.skipped == 0  # so slot j of the run is the j-th of each record
+
+    enc2d, head2d = EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS)
+    pixel_of = []  # per pair: winning point -> (row, column) of its pixel
+    zmaps = []
+    for pair in dataset:
+        scan = voxelize(pair.cloud, STAGE2.voxel_size).cloud
+        corrs = build_correspondences(scan, pair.pose, pair.intrinsics)
+        pixels = zip(corrs.pixel_rows(), corrs.pixel_columns())
+        pixel_of.append(dict(zip(corrs.point_index.tolist(), pixels)))
+        feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None])
+        z, _ = head_forward(head2d, feats.reshape(-1, DIMS))
+        zmaps.append(z.reshape(feats.shape[1], feats.shape[2], DIMS))
+
+    slot = 0
+    for it in range(STAGE2.iterations):
+        picks = rng_for(STAGE2.seed, "stage2", it).integers(0, len(dataset), size=STAGE2.batch_pairs)
+        offset = 0
+        for pair_idx in picks:
+            index_map, slot_rows = index_maps[slot], rows[slot]
+            originals = np.flatnonzero(index_map >= 0)[slot_rows]  # each survived dropout
+            slot_positives = positives[it][offset : offset + len(slot_rows)]
+            for point, pos in zip(originals.tolist(), slot_positives):
+                assert point in pixel_of[pair_idx]  # a z-buffer winner of the scan
+                r, c = pixel_of[pair_idx][point]
+                assert np.allclose(pos, zmaps[pair_idx][r, c], rtol=0.0, atol=1e-12)
+            offset += len(slot_rows)
+            slot += 1
+        assert offset == len(positives[it])
+    assert slot == len(rows) == len(index_maps)
 
 
 def test_stage2_step_gradient_matches_finite_differences(dataset, monkeypatch):
