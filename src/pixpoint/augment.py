@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCrop, EmptyCloud, EmptyOverlap
+from .errors import DegenerateCrop, EmptyCloud, EmptyOverlap, InvalidInput
 from .geometry import Image, PointCloud
 from .rngutil import rng_for
 
@@ -44,10 +44,10 @@ class RandomResizedCrop:
     def __post_init__(self):
         lo, hi = self.scale_range
         if not (0.0 < lo <= hi <= 1.0):
-            raise ValueError(f"scale_range must be within (0,1], got {self.scale_range}")
+            raise InvalidInput(f"scale_range must be within (0,1], got {self.scale_range}")
         ow, oh = self.out_size
         if not (ow > 0 and oh > 0):
-            raise ValueError(f"out_size must be positive, got {self.out_size}")
+            raise InvalidInput(f"out_size must be positive, got {self.out_size}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class HorizontalFlip:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"flip probability outside [0,1]: {self.p}")
+            raise InvalidInput(f"flip probability outside [0,1]: {self.p}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class ColorJitter:
             if rng is not None:
                 lo, hi = rng
                 if not (0.0 <= lo <= hi):
-                    raise ValueError(f"bad {name} range {rng}")
+                    raise InvalidInput(f"bad {name} range {rng}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class Grayscale:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"grayscale probability outside [0,1]: {self.p}")
+            raise InvalidInput(f"grayscale probability outside [0,1]: {self.p}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class TransformSpec2D:
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             if not isinstance(op, (RandomResizedCrop, HorizontalFlip, ColorJitter, Grayscale)):
-                raise ValueError(f"unknown 2D transform {op!r}")
+                raise InvalidInput(f"unknown 2D transform {op!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class RotationZ:
         lo, hi = self.angle_range
         two_pi = 2.0 * np.pi
         if not (0.0 <= lo <= hi < two_pi + 1e-12):
-            raise ValueError(f"angle_range must lie in [0, 2pi), got {self.angle_range}")
+            raise InvalidInput(f"angle_range must lie in [0, 2pi), got {self.angle_range}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class PointDropout:
 
     def __post_init__(self):
         if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError(f"keep_prob must be in (0,1], got {self.keep_prob}")
+            raise InvalidInput(f"keep_prob must be in (0,1], got {self.keep_prob}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class TransformSpec3D:
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             if not isinstance(op, (RotationZ, PointDropout, ColorJitter)):
-                raise ValueError(f"unknown 3D transform {op!r}")
+                raise InvalidInput(f"unknown 3D transform {op!r}")
 
 
 # ── coordinate maps ──────────────────────────────────────────────────────

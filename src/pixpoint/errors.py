@@ -11,7 +11,8 @@ class PixpointError(Exception):
 
 
 class InvalidInput(PixpointError, ValueError):
-    """A data class (image, cloud, pose, camera, matches, pair) got bad values."""
+    """A data class (image, cloud, pose, camera, matches, pair), a transform
+    descriptor or a stage config got bad values."""
 
 
 class DegenerateCrop(PixpointError):

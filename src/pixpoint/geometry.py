@@ -226,9 +226,14 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
     """
     if not voxel_size > 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel().astype(np.int64)
+    keys = np.floor(cloud.positions / voxel_size)
+    # one int64 key per voxel from the ranks of its coordinates on each
+    # axis: below N**3 however wide the cloud, and in the lexicographic
+    # order of (x, y, z) keys, so voxels are numbered as np.unique(axis=0)
+    # would number them
+    axes, ranks = zip(*(np.unique(keys[:, a], return_inverse=True) for a in range(3)))
+    flat = np.ravel_multi_index(ranks, tuple(u.size for u in axes))
+    uniq, inverse = np.unique(flat, return_inverse=True)
     m = uniq.shape[0]
     counts = np.bincount(inverse, minlength=m).astype(np.float64)
     pos = np.empty((m, 3))

@@ -12,17 +12,18 @@ when a distance certificate proves that no point outside those cells is as
 near; the few other points are searched against all N. It works on row
 blocks of KNN_BLOCK_ROWS points, so its memory is at most KNN_BLOCK_ROWS x N
 distances, not N x N; on voxelised scans a block meets a few hundred
-candidates. point_forward takes the neighbour table from its caller.
+candidates. Given rows, it searches only the blocks of those points.
 Stage 2 measures neighbours in the voxelised scan's own frame, before
-rotation: it searches each distinct scan once for a wider table ordered by
-(distance, index) and reads the neighbours of the points that survive
-dropout from it (knn_from_table).
+rotation: it searches each distinct scan once, at the points a slot can
+sample, for a wider table ordered by (distance, index), and reads from it
+the neighbours among the survivors of dropout of the points a slot picks
+(knn_from_table).
 
-point_forward returns features only at the requested rows. The per-point
-MLP runs on every point, because neighbours read its output; the max
-aggregation and the output MLP run at the rows only. Stage 2 asks for the
-points its loss samples, which are the scan's own z-buffer winners that
-survive dropout; encode_points asks for all of them.
+point_forward takes the neighbour table of the requested rows only and
+returns features only there. The per-point MLP runs on the rows and their
+neighbours, the max aggregation and the output MLP on the rows. Stage 2
+asks for the points its loss samples, which are the scan's own z-buffer
+winners that survive dropout; encode_points asks for all of them.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ _EPS = np.finfo(np.float64).eps
 _OFFSETS = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def knn_indices(positions: np.ndarray, k: int, by_distance: bool = False) -> np.ndarray:
-    """(N, k_eff) nearest-neighbour indices per point, k_eff = min(k, N).
+def knn_indices(positions: np.ndarray, k: int, by_distance: bool = False, rows=None) -> np.ndarray:
+    """(N, k_eff) nearest-neighbour indices per point, k_eff = min(k, N);
+    with rows (unique point indices), (len(rows), k_eff): the rows of
+    those points, in that order.
 
     Squared distances are summed from coordinate differences, ties go to
     the lower index. Rows are sorted by ascending index, or by (distance,
@@ -63,17 +66,26 @@ def knn_indices(positions: np.ndarray, k: int, by_distance: bool = False) -> np.
     side, so on a lattice every row whose k-th distance is the sampled one
     is final. Rows that are not final (outliers, sparse regions, clouds of
     exact copies) are compared with all N points.
-    Either way a block holds at most KNN_BLOCK_ROWS x N distances.
+    Either way a block holds at most KNN_BLOCK_ROWS x N distances. With
+    rows, h and the cells still come from the whole cloud, and only the
+    blocks of the requested points are searched.
     """
     positions = np.asarray(positions, dtype=np.float64)
     _check_search(positions, k)
     n = positions.shape[0]
+    if rows is None:
+        rows = np.arange(n)
+    else:
+        rows = np.asarray(rows)
+        _check_rows(rows, n)
     k_eff = min(k, n)
-    nb = np.empty((n, k_eff), dtype=np.int64)
-    rest = _grid_search(positions, k_eff, by_distance, nb) if n else np.arange(0)
+    nb = np.empty((rows.size, k_eff), dtype=np.int64)
+    slot = np.full(n, -1, dtype=np.int64)  # point -> its row of nb, -1 if not asked for
+    slot[rows] = np.arange(rows.size)
+    rest = _grid_search(positions, k_eff, by_distance, slot, nb) if n else rows
     for start in range(0, rest.size, KNN_BLOCK_ROWS):
-        rows = rest[start : start + KNN_BLOCK_ROWS]
-        nb[rows] = _nearest(positions, rows, np.arange(n), k_eff, by_distance)[0]
+        blk = rest[start : start + KNN_BLOCK_ROWS]
+        nb[slot[blk]] = _nearest(positions, blk, np.arange(n), k_eff, by_distance)[0]
     return nb
 
 
@@ -86,8 +98,9 @@ def _check_search(positions: np.ndarray, k: int) -> None:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
 
-def _grid_search(positions: np.ndarray, k_eff: int, by_distance: bool, nb: np.ndarray) -> np.ndarray:
-    """Fill the rows of nb that the cell grid certifies; return the others."""
+def _grid_search(positions, k_eff: int, by_distance: bool, slot, nb) -> np.ndarray:
+    """Fill nb[slot[p]] for each point p asked for (slot[p] >= 0) that the
+    cell grid certifies; return the others."""
     n = positions.shape[0]
     # h: the largest distance of a sampled row to its k-th neighbour, at
     # least the second, as the first of a row is itself
@@ -100,7 +113,7 @@ def _grid_search(positions: np.ndarray, k_eff: int, by_distance: bool, nb: np.nd
     # exactly that side would fail the strict certificate for all of them
     h = np.sqrt(kth.max()) * (1.0 + 2.0**-10)
     if not h > 0.0:  # each sampled row has k_h - 1 or more exact copies
-        return np.arange(n)
+        return np.flatnonzero(slot >= 0)
     s = (positions - positions.min(axis=0)) / h  # cell units, >= 0
     q = np.floor(s)
 
@@ -136,21 +149,23 @@ def _grid_search(positions: np.ndarray, k_eff: int, by_distance: bool, nb: np.nd
     margin = np.minimum(lower, upper).min(axis=1) - 2.0 * _EPS * (s.max() + 2.0)
     bound = np.where(margin > 0.0, (h * margin) ** 2 * (1.0 - 8.0 * _EPS), -1.0)
 
+    asked = np.flatnonzero(slot[order] >= 0)  # positions in order of the points asked for
     rest = []
-    for start in range(0, n, KNN_BLOCK_ROWS):
-        rows = order[start : start + KNN_BLOCK_ROWS]
-        searched = np.unique(nbr[cell_of[start : start + KNN_BLOCK_ROWS]])
+    for start in range(0, asked.size, KNN_BLOCK_ROWS):
+        at = asked[start : start + KNN_BLOCK_ROWS]
+        blk = order[at]
+        searched = np.unique(nbr[cell_of[at]])
         searched = searched[searched >= 0]
         # the rows of the searched cells, each cell a contiguous run of order
         lens = ends[searched] - starts[searched]
         cand = order[np.repeat(starts[searched] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
         if cand.size < k_eff:
-            rest.append(rows)
+            rest.append(blk)
             continue
-        got, kth = _nearest(positions, rows, cand, k_eff, by_distance)
-        final = kth < bound[rows]
-        nb[rows[final]] = got[final]
-        rest.append(rows[~final])
+        got, kth = _nearest(positions, blk, cand, k_eff, by_distance)
+        final = kth < bound[blk]
+        nb[slot[blk[final]]] = got[final]
+        rest.append(blk[~final])
     return np.concatenate(rest)
 
 
@@ -183,22 +198,29 @@ def _nearest(positions: np.ndarray, rows: np.ndarray, cand: np.ndarray, k_eff: i
 
 
 def knn_from_table(
-    table: np.ndarray, index_map: np.ndarray, positions: np.ndarray, k: int
+    table: np.ndarray, table_rows: np.ndarray, index_map: np.ndarray, positions: np.ndarray, k: int, points
 ) -> np.ndarray:
-    """knn_indices(positions[index_map >= 0], k), read from a wider table.
+    """knn_indices(positions[index_map >= 0], k, rows=index_map[points]),
+    read from a wider table: the neighbours, among the survivors, of the
+    surviving points.
 
-    table is knn_indices(positions, k_wide, by_distance=True). index_map
+    table is knn_indices(positions, k_wide, by_distance=True, rows=table_rows)
+    with table_rows sorted and holding every point of points. index_map
     sends each point to its row among the survivors, -1 if dropped, and
     keeps their order, so (distance, index) order carries over and the
-    first k_eff survivors of a surviving row are its exact neighbours. If
-    any row has fewer, the survivors are searched afresh.
+    first k_eff survivors of a row are its exact neighbours. If any of the
+    points has fewer, the survivors are searched afresh at those points.
     """
+    points = np.asarray(points)
+    at = np.minimum(np.searchsorted(table_rows, points), table_rows.size - 1)
+    if (table_rows[at] != points).any() or (index_map[points] < 0).any():
+        raise ValueError("points must be rows of the table that survive")
     survivors = np.flatnonzero(index_map >= 0)
     k_eff = min(k, survivors.size)
-    cand = index_map[table[survivors]]
+    cand = index_map[table[at]]
     alive = cand >= 0
     if (alive.sum(axis=1) < k_eff).any():
-        return knn_indices(positions[survivors], k)
+        return knn_indices(positions[survivors], k, rows=index_map[points])
     take = alive & (np.cumsum(alive, axis=1) <= k_eff)
     return np.sort(cand[take].reshape(-1, k_eff), axis=1)
 
@@ -217,33 +239,42 @@ def point_forward(
     nb: np.ndarray,
     rows: np.ndarray,
 ):
-    """Forward pass over the (N, k_eff) neighbour table nb, as knn_indices
-    gives it, evaluated at the unique point indices rows; returns
-    (features (len(rows), D), cache for backward)."""
+    """Forward pass at the unique point indices rows, whose neighbour table
+    nb (len(rows), k_eff) is as knn_indices gives it; returns (features
+    (len(rows), D), cache for backward). The per-point MLP runs only at
+    rows and their neighbours."""
     _check_rows(rows, positions.shape[0])
-    x = np.concatenate([positions, colors], axis=1)
+    if nb.ndim != 2 or nb.shape[0] != rows.size:
+        raise ValueError(f"nb must have one row per point of rows, got {nb.shape}")
+    needed = np.zeros(positions.shape[0], dtype=bool)
+    needed[rows] = True
+    needed[nb] = True
+    # a point's row among the needed ones is monotone in its index, so the
+    # first maximum is still the lowest neighbour index
+    local = np.cumsum(needed) - 1
+    at, nb_at = local[rows], local[nb]
+    x = np.concatenate([positions[needed], colors[needed]], axis=1)
     h1 = np.maximum(x @ params.w1.T + params.b1, 0.0)
     h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
-    nb_rows = nb[rows]
-    gathered = h2[nb_rows]  # (R, k_eff, 32)
+    gathered = h2[nb_at]  # (R, k_eff, 32)
     agg = gathered.max(axis=1)
     arg = gathered.argmax(axis=1)  # first maximum = lowest neighbour index
-    c = np.concatenate([h2[rows], agg], axis=1)
+    c = np.concatenate([h2[at], agg], axis=1)
     g1 = np.maximum(c @ params.v1.T + params.d1, 0.0)
     out = g1 @ params.v2.T + params.d2
-    winners = np.take_along_axis(nb_rows, arg, axis=1)  # (R, 32) source row per channel
-    cache = {"x": x, "h1": h1, "h2": h2, "rows": rows, "winners": winners, "c": c, "g1": g1}
+    winners = np.take_along_axis(nb_at, arg, axis=1)  # (R, 32) source row per channel
+    cache = {"x": x, "h1": h1, "h2": h2, "at": at, "winners": winners, "c": c, "g1": g1}
     return out, cache
 
 
 def point_backward(params: EncoderParams3D, cache: dict, grad_out: np.ndarray) -> dict:
     """Gradients of every tensor from grad_out, (len(rows), D): the
     gradient of the rows point_forward returned."""
-    x, h1, h2, rows, winners, c, g1 = (
+    x, h1, h2, at, winners, c, g1 = (
         cache["x"],
         cache["h1"],
         cache["h2"],
-        cache["rows"],
+        cache["at"],
         cache["winners"],
         cache["c"],
         cache["g1"],
@@ -259,7 +290,7 @@ def point_backward(params: EncoderParams3D, cache: dict, grad_out: np.ndarray) -
     grad_d1 = grad_g1.sum(axis=0)
 
     grad_h2 = np.zeros_like(h2)
-    grad_h2[rows] = grad_c[:, :width]  # rows are unique
+    grad_h2[at] = grad_c[:, :width]  # rows are unique
     cols = np.broadcast_to(np.arange(width), winners.shape)
     np.add.at(grad_h2, (winners.ravel(), cols.ravel()), grad_c[:, width:].ravel())
 

@@ -12,8 +12,10 @@ distinct scan once and matches it to each of its pairs' pixels once,
 keeping the frozen embeddings at the z-buffer winners' pixels. A slot's
 matches are the winners that survive its dropout; no slot projects
 again. Each scan's neighbour table is built once, when a slot first
-needs it, for every image that sees the scan. The point head runs only
-at the sampled points.
+needs it, and only at the union of its pairs' winners, as a slot samples
+no other point. A slot reads the neighbours of its sampled points only;
+the per-point MLP runs at those points and their neighbours, the point
+head at the sampled points.
 
 Both stages are bit-deterministic given their config: every random draw
 derives from (seed, stage, iteration, slot) so a failed batch can be
@@ -121,13 +123,13 @@ class Stage1Config:
 
     def __post_init__(self):
         if self.pixels_per_pair < 2:
-            raise ValueError("pixels_per_pair must be >= 2")
+            raise InvalidInput("pixels_per_pair must be >= 2")
         if self.batch_pairs < 1:
-            raise ValueError("batch_pairs must be >= 1")
+            raise InvalidInput("batch_pairs must be >= 1")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise InvalidInput("iterations must be >= 1")
         if not isinstance(self.negative_cap, (int, np.integer)) or self.negative_cap < 1:
-            raise ValueError("negative_cap must be an int >= 1")
+            raise InvalidInput("negative_cap must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,15 +149,15 @@ class Stage2Config:
 
     def __post_init__(self):
         if self.batch_pairs < 1:
-            raise ValueError("batch_pairs must be >= 1")
+            raise InvalidInput("batch_pairs must be >= 1")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise InvalidInput("iterations must be >= 1")
         if self.correspondences_per_pair < 2:
-            raise ValueError("correspondences_per_pair must be >= 2")
+            raise InvalidInput("correspondences_per_pair must be >= 2")
         if self.negative_source not in (POINTS_ONLY, POINTS_AND_PIXELS):
-            raise ValueError(f"unknown negative_source {self.negative_source!r}")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+            raise InvalidInput(f"unknown negative_source {self.negative_source!r}")
+        if not self.voxel_size > 0:  # NaN fails too
+            raise InvalidInput("voxel_size must be positive")
 
 
 @dataclass
@@ -348,8 +350,12 @@ def frozen_pixel_embeddings(
     unit-norm frozen embedding at each one's pixel: (point_index (n,),
     targets (n, M))."""
     corrs = build_correspondences(scan, pair.pose, pair.intrinsics)
-    feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None])
-    targets, _ = head_forward(head2d, feats[0, corrs.pixel_rows(), corrs.pixel_columns()])
+    if len(corrs) == 0:
+        return corrs.point_index, np.empty((0, head2d.embed_dim))
+    # one winner per pixel, in ascending pixel order: conv3 runs only there
+    at = corrs.pixel_rows() * pair.image.width + corrs.pixel_columns()
+    feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None], at=at)
+    targets, _ = head_forward(head2d, feats)
     return corrs.point_index, targets
 
 
@@ -372,6 +378,9 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
 
     audit = _NormAudit()
     voxelised = {}  # id(pair.cloud) -> its voxelised cloud, one per scan
+    # id(voxelised cloud) -> the sorted union of its pairs' z-buffer
+    # winners: the only points a slot of that scan can sample
+    winners = {}
     scenes = []
     for pair in dataset:
         if id(pair.cloud) not in voxelised:
@@ -379,13 +388,15 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         vox = voxelised[id(pair.cloud)]
         point_index, targets = frozen_pixel_embeddings(enc2d, head2d, pair, vox)
         audit.take(targets)
+        winners[id(vox)] = np.union1d(winners.get(id(vox), point_index), point_index)
         scenes.append((vox, point_index, targets))
 
     enc = EncoderParams3D.initialize(cfg.seed, cfg.feature_dim, cfg.knn)
     head = HeadParams.initialize(derive_seed(cfg.seed, "head3d"), cfg.feature_dim, cfg.embed_dim)
-    # id(voxelised cloud) -> its neighbour table, built on first use. The 3D
-    # transforms rotate and drop points without reordering them, so each
-    # slot reads its exact kNN, in the scan's own frame, from it.
+    # id(voxelised cloud) -> its neighbour table at its winners, built on
+    # first use. The 3D transforms rotate and drop points without
+    # reordering them, so each slot reads its exact kNN, in the scan's own
+    # frame, from it.
     tables = {}
     mode = OTHER_QUERIES if cfg.negative_source == POINTS_ONLY else ALL_IN_BATCH
 
@@ -414,10 +425,13 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
             rng_pick = rng_for(cfg.seed, "s2pick", it, k)
             pick = alive[rng_pick.choice(alive.size, size=n_take, replace=False)]
 
+            table_rows = winners[id(vox)]
             if id(vox) not in tables:
                 width = NEIGHBOUR_TABLE_FACTOR * enc.k
-                tables[id(vox)] = knn_indices(vox.positions, width, by_distance=True)
-            nb = knn_from_table(tables[id(vox)], index_map, vox.positions, enc.k)
+                tables[id(vox)] = knn_indices(vox.positions, width, by_distance=True, rows=table_rows)
+            nb = knn_from_table(
+                tables[id(vox)], table_rows, index_map, vox.positions, enc.k, point_index[pick]
+            )
             out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb, rows[pick])
             feats_chunks.append(out)
             pos_chunks.append(targets[pick])

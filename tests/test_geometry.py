@@ -353,6 +353,19 @@ class TestVoxelize:
         assert index_map.shape == (1000,)
         assert index_map.min() >= 0 and index_map.max() == len(out) - 1
 
+    @pytest.mark.parametrize("spread", [1.0, 1e12], ids=["unit", "wide"])
+    def test_voxels_numbered_as_unique_rows_number_them(self, spread):
+        # negative coordinates, and a span whose cell product overflows int64
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(-1, 1, size=(3000, 3))
+        pts[rng.choice(3000, size=40, replace=False)] *= spread
+        pts[:200] = pts[200:400]  # shared voxels
+        res = voxelize(PointCloud(pts, np.full((3000, 3), 0.5)), 0.05)
+        keys = np.floor(pts / 0.05).astype(np.int64)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        assert np.array_equal(res.index_map, inverse.ravel())
+        assert len(res.cloud) == uniq.shape[0]
+
     def test_majority_label_tie_takes_lowest_class(self):
         pts = np.array([[0.01, 0, 0], [0.02, 0, 0], [0.03, 0, 0], [0.04, 0, 0]])
         labels = np.array([3, 1, 3, 1])

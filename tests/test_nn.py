@@ -423,11 +423,15 @@ class TestPointEncoder:
         dense, dense_cache = point_forward(
             params, cloud.positions, cloud.colors, nb, np.arange(len(cloud))
         )
-        got, cache = point_forward(params, cloud.positions, cloud.colors, nb, rows)
-        # the gather and max are exact; the output MLP's products over fewer
-        # rows may round differently in small-matrix BLAS kernels
+        got, cache = point_forward(params, cloud.positions, cloud.colors, nb[rows], rows)
+        # the per-point MLP ran only at the rows and their neighbours
+        need = np.unique(np.concatenate([rows, nb[rows].ravel()]))
+        assert need.size < len(cloud) and cache["h2"].shape[0] == need.size
+        # c and the winners equal the dense encoder's; the output MLP's
+        # products over fewer rows may round differently in small-matrix
+        # BLAS kernels
         assert np.array_equal(cache["c"], dense_cache["c"][rows])
-        assert np.array_equal(cache["winners"], dense_cache["winners"][rows])
+        assert np.array_equal(need[cache["winners"]], dense_cache["winners"][rows])
         assert np.allclose(got, dense[rows], rtol=0.0, atol=1e-12)
 
         grad_dense = np.zeros_like(dense)
@@ -449,12 +453,19 @@ class TestPointEncoder:
         with pytest.raises(ValueError, match="rows"):
             point_forward(params, cloud.positions, cloud.colors, nb, np.array(rows))
 
+    def test_rejects_a_table_of_other_rows(self):
+        params = EncoderParams3D.initialize(15, k=3)
+        cloud = self.random_cloud(12, seed=16)
+        nb = knn_indices(cloud.positions, 3)
+        with pytest.raises(ValueError, match="nb"):
+            point_forward(params, cloud.positions, cloud.colors, nb, np.array([2, 5]))
+
     def test_gradients_certified(self):
         rng = np.random.default_rng(8)
         cloud = self.random_cloud(12, seed=9)
         rows = np.array([7, 2, 10, 0, 5])
         direction = rng.normal(size=(rows.size, 16))
-        nb = knn_indices(cloud.positions, 4)
+        nb = knn_indices(cloud.positions, 4, rows=rows)
 
         def loss_fn(tensors):
             params = EncoderParams3D.from_tensors(tensors, k=4)
@@ -606,6 +617,43 @@ class TestKnnIndices:
             # shapes[0] sizes the cells against all N
             assert sum(cols == pos.shape[0] for _, cols in shapes[1:]) == exhaustive_blocks
 
+    @pytest.mark.parametrize("name", sorted(KNN_CLOUDS))
+    @pytest.mark.parametrize("k", [1, 8, 24])
+    @pytest.mark.parametrize("by_distance", [False, True])
+    def test_rows_equal_the_full_table_at_those_rows(self, name, k, by_distance):
+        pos = KNN_CLOUDS[name]
+        n = pos.shape[0]
+        full = knn_indices(pos, k, by_distance)
+        rng = np.random.default_rng(n + k)
+        # unsorted, a single row, and the last row alone
+        for rows in (rng.choice(n, size=max(1, n // 3), replace=False), np.array([0]), np.array([n - 1])):
+            assert np.array_equal(knn_indices(pos, k, by_distance, rows=rows), full[rows])
+
+    def test_rows_search_only_their_blocks(self, monkeypatch):
+        shapes = []
+        sq_dists = points._sq_dists
+
+        def recorded(a, b):
+            shapes.append(a.shape[0])
+            return sq_dists(a, b)
+
+        monkeypatch.setattr(points, "_sq_dists", recorded)
+        pos = KNN_CLOUDS["grid_7"]
+        rows = np.arange(0, 343, 7)
+        assert np.array_equal(knn_indices(pos, 8, rows=rows), brute_knn(pos, 8)[rows])
+        # shapes[0] sizes the cells; then each row is searched once, and
+        # the grid certifies every lattice row
+        assert sum(shapes[1:]) == rows.size
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[3, 1, 3], [0, 12], [-1, 2], [[0, 1]], [0.0, 1.0], []],
+        ids=["repeated", "past-end", "negative", "2-d", "float", "empty"],
+    )
+    def test_rejects_malformed_rows(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            knn_indices(np.random.default_rng(19).uniform(-1, 1, (12, 3)), 3, rows=np.array(rows))
+
     @pytest.mark.parametrize(
         "positions, k, match",
         [
@@ -635,45 +683,59 @@ class TestKnnFromTable:
 
     @pytest.fixture
     def searches(self, monkeypatch):
-        """Counts the exact searches knn_from_table starts."""
+        """Records (points searched, rows asked for) of each exact search
+        that knn_from_table starts."""
         calls = []
         search = points.knn_indices
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape[0])
+            calls.append((args[0].shape[0], kwargs["rows"].size))
             return search(*args, **kwargs)
 
         monkeypatch.setattr(points, "knn_indices", counted)
         return calls
 
-    def reuse(self, pos, mask):
-        table = knn_indices(pos, 3 * self.K, by_distance=True)
-        return knn_from_table(table, drop(mask), pos, self.K)
+    def reuse(self, pos, mask, picked, table_rows=None):
+        """Neighbours among the survivors of mask at the points picked,
+        from a table at table_rows (every point by default), and what an
+        exhaustive search of the survivors gives there."""
+        table_rows = np.arange(pos.shape[0]) if table_rows is None else table_rows
+        table = knn_indices(pos, 3 * self.K, by_distance=True, rows=table_rows)
+        index_map = drop(mask)
+        got = knn_from_table(table, table_rows, index_map, pos, self.K, picked)
+        return got, brute_knn(pos[mask], self.K)[index_map[picked]]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dropout_masks_reuse_the_table(self, seed, searches):
         pos = KNN_CLOUDS["random_700"]
-        mask = np.random.default_rng(seed).random(700) < 0.9
-        got = self.reuse(pos, mask)
+        rng = np.random.default_rng(seed)
+        mask = rng.random(700) < 0.9
+        table_rows = np.flatnonzero(rng.random(700) < 0.5)
+        picked = rng.permutation(table_rows[mask[table_rows]])[:100]  # unsorted
+        got, want = self.reuse(pos, mask, picked, table_rows)
         assert searches == []
-        assert np.array_equal(got, knn_indices(pos[mask], self.K))
-        assert np.array_equal(got, brute_knn(pos[mask], self.K))
+        assert got.shape == (picked.size, self.K)
+        assert np.array_equal(got, want)
 
     def test_row_short_of_k_survivors_falls_back(self, searches):
         pos = KNN_CLOUDS["random_700"]
         table = knn_indices(pos, 3 * self.K, by_distance=True)
         mask = np.ones(700, dtype=bool)
         mask[table[0, 1:]] = False  # row 0 keeps only itself
-        got = self.reuse(pos, mask)
-        assert searches == [int(mask.sum())]
-        assert np.array_equal(got, brute_knn(pos[mask], self.K))
+        others = np.flatnonzero(mask)[1:40]
+        # only a picked short row starts a search, and only at the picked rows
+        got, want = self.reuse(pos, mask, others)
+        assert searches == [] and np.array_equal(got, want)
+        got, want = self.reuse(pos, mask, np.append(others, 0))
+        assert searches == [(int(mask.sum()), others.size + 1)]
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kept", [1, 3, 8])
     def test_at_most_k_survivors(self, kept):
         pos = KNN_CLOUDS["random_700"]
         mask = np.zeros(700, dtype=bool)
         mask[np.random.default_rng(kept).choice(700, size=kept, replace=False)] = True
-        got = self.reuse(pos, mask)
+        got, _ = self.reuse(pos, mask, np.flatnonzero(mask))
         assert np.array_equal(got, np.tile(np.arange(kept), (kept, 1)))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -682,9 +744,20 @@ class TestKnnFromTable:
         cloud = PointCloud(grid, np.full(grid.shape, 0.5))
         spec = TransformSpec3D((RotationZ(angle_range=(0.1, 6.0)), PointDropout(keep_prob=0.8)))
         _, index_map = augment_cloud(cloud, spec, seed)
-        table = knn_indices(grid, 3 * self.K, by_distance=True)
-        got = knn_from_table(table, index_map, grid, self.K)
-        assert np.array_equal(got, brute_knn(grid[index_map >= 0], self.K))
+        picked = np.flatnonzero(index_map >= 0)[::3]
+        table = knn_indices(grid, 3 * self.K, by_distance=True, rows=picked)
+        got = knn_from_table(table, picked, index_map, grid, self.K, picked)
+        assert np.array_equal(got, brute_knn(grid[index_map >= 0], self.K)[index_map[picked]])
+
+    @pytest.mark.parametrize("picked", [[5], [7], [699]], ids=["dropped", "not-in-table", "past-table"])
+    def test_rejects_points_the_table_cannot_answer(self, picked):
+        pos = KNN_CLOUDS["random_700"]
+        mask = np.ones(700, dtype=bool)
+        mask[5] = False
+        table_rows = np.arange(0, 600, 5)  # holds 5, not 7 or 699
+        table = knn_indices(pos, 3 * self.K, by_distance=True, rows=table_rows)
+        with pytest.raises(ValueError, match="points"):
+            knn_from_table(table, table_rows, drop(mask), pos, self.K, np.array(picked))
 
 
 class TestHead:

@@ -23,9 +23,18 @@ import pytest
 from gradcheck import gradient_check
 
 from pixpoint import pipeline
-from pixpoint.augment import PointDropout, RotationZ, TransformSpec3D
-from pixpoint.errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss
-from pixpoint.geometry import CameraIntrinsics, Image, PointCloud, build_correspondences, voxelize
+from pixpoint.augment import (
+    ColorJitter,
+    Grayscale,
+    HorizontalFlip,
+    PointDropout,
+    RandomResizedCrop,
+    RotationZ,
+    TransformSpec2D,
+    TransformSpec3D,
+)
+from pixpoint.errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss, PixpointError
+from pixpoint.geometry import CameraIntrinsics, Image, PointCloud, Pose, build_correspondences, voxelize
 from pixpoint.loss import ALL_IN_BATCH, LossConfig
 from pixpoint.nn import (
     EncoderParams2D,
@@ -210,9 +219,9 @@ def test_neighbour_tables_train_like_an_exact_search(dataset, monkeypatch):
     reused, _ = run_stage2(dataset)
     searched = []
 
-    def search_survivors(table, index_map, positions, k):
+    def search_survivors(table, table_rows, index_map, positions, k, points):
         searched.append(k)
-        return knn_indices(positions[index_map >= 0], k)
+        return knn_indices(positions[index_map >= 0], k)[index_map[points]]
 
     monkeypatch.setattr(pipeline, "knn_from_table", search_survivors)
     assert checkpoint_checksum(run_stage2(dataset)[0]) == checkpoint_checksum(reused)
@@ -243,9 +252,9 @@ def test_each_cloud_is_voxelised_and_searched_once(dataset, monkeypatch, own_clo
         voxelised.append(id(cloud))
         return voxelize(cloud, size)
 
-    def counting_knn(positions, k, by_distance=False):
-        searched.append(k)
-        return knn_indices(positions, k, by_distance)
+    def counting_knn(positions, k, by_distance=False, rows=None):
+        searched.append((positions, rows))
+        return knn_indices(positions, k, by_distance, rows)
 
     monkeypatch.setattr(pipeline, "voxelize", counting_voxelize)
     monkeypatch.setattr(pipeline, "knn_indices", counting_knn)
@@ -259,8 +268,36 @@ def test_each_cloud_is_voxelised_and_searched_once(dataset, monkeypatch, own_clo
     picked_clouds = {id(data[i].cloud) for i in picked}
     assert sorted(voxelised) == sorted(clouds)
     assert len(searched) == len(picked_clouds)
+    # each table has a row for each z-buffer winner of its scan's pairs, only
+    unions = {}
+    for pair in data:
+        scan = voxelize(pair.cloud, STAGE2.voxel_size).cloud
+        winners = build_correspondences(scan, pair.pose, pair.intrinsics).point_index
+        union = np.union1d(unions.get(id(pair.cloud), (None, winners))[1], winners)
+        unions[id(pair.cloud)] = (scan.positions, union)
+    expected = [unions[c] for c in picked_clouds]
+    for positions, rows in searched:
+        assert rows.size < len(positions)
+        assert sum(np.array_equal(positions, p) and np.array_equal(rows, u) for p, u in expected) == 1
     if not own_clouds:  # two pairs of one scan were picked, so a table was shared
         assert len(clouds) < len(data) and len(picked_clouds) < len(picked)
+
+
+def test_frozen_embeddings_are_the_dense_encoders_at_the_winners(dataset):
+    enc2d, head2d = EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS)
+    pair = dataset[0]
+    scan = voxelize(pair.cloud, STAGE2.voxel_size).cloud
+    point_index, targets = pipeline.frozen_pixel_embeddings(enc2d, head2d, pair, scan)
+    corrs = build_correspondences(scan, pair.pose, pair.intrinsics)
+    feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None])
+    want, _ = head_forward(head2d, feats[0, corrs.pixel_rows(), corrs.pixel_columns()])
+    assert np.array_equal(point_index, corrs.point_index) and len(point_index) > 0
+    assert np.array_equal(targets, want)
+    # a camera every point of the scan lies behind
+    away = replace(pair, pose=Pose(np.eye(3), np.array([0.0, 0.0, -1e3])))
+    assert len(build_correspondences(scan, away.pose, away.intrinsics)) == 0
+    point_index, targets = pipeline.frozen_pixel_embeddings(enc2d, head2d, away, scan)
+    assert point_index.shape == (0,) and targets.shape == (0, DIMS)
 
 
 @pytest.mark.parametrize("iterations", [1, 4])
@@ -351,6 +388,44 @@ def test_config_rejects_counts_below_one(config, field):
     for value in (0, -1):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
             config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pipeline.Stage1Config(pixels_per_pair=1),
+        lambda: pipeline.Stage1Config(negative_cap=0),
+        lambda: pipeline.Stage2Config(correspondences_per_pair=1),
+        lambda: pipeline.Stage2Config(negative_source="pixels_only"),
+        lambda: pipeline.Stage2Config(voxel_size=float("nan")),
+        lambda: RandomResizedCrop(scale_range=(0.0, 1.0), out_size=(8, 8)),
+        lambda: HorizontalFlip(p=1.5),
+        lambda: ColorJitter(brightness=(1.2, 0.8)),
+        lambda: Grayscale(p=-0.1),
+        lambda: TransformSpec2D((RotationZ(),)),
+        lambda: RotationZ(angle_range=(0.0, 7.0)),
+        lambda: PointDropout(keep_prob=0.0),
+        lambda: TransformSpec3D((HorizontalFlip(),)),
+    ],
+    ids=[
+        "Stage1Config",
+        "Stage1Config-cap",
+        "Stage2Config",
+        "Stage2Config-negatives",
+        "Stage2Config-voxel",
+        "RandomResizedCrop",
+        "HorizontalFlip",
+        "ColorJitter",
+        "Grayscale",
+        "TransformSpec2D",
+        "RotationZ",
+        "PointDropout",
+        "TransformSpec3D",
+    ],
+)
+def test_configs_and_transforms_raise_a_pixpoint_error(make):
+    with pytest.raises(PixpointError):
+        make()
 
 
 def test_scene_pair_rejects_image_of_another_size(dataset):
