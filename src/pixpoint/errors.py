@@ -12,7 +12,8 @@ class PixpointError(Exception):
 
 class InvalidInput(PixpointError, ValueError):
     """A data class (image, cloud, pose, camera, matches, pair), a transform
-    descriptor or a stage config got bad values."""
+    descriptor, a stage or loss config, the loss or a stage driver got bad
+    values."""
 
 
 class DegenerateCrop(PixpointError):

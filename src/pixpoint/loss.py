@@ -1,6 +1,6 @@
 """Temperature-scaled contrastive objective with analytic gradients.
 
-Per query i with positive p_i and negative set {n_j}:
+Per query i with positive p_i and a pool of negatives {n_j}:
 
     L_i = -log  exp(q_i . p_i / tau) /
                 ( exp(q_i . p_i / tau) + sum_j exp(q_i . n_j / tau) )
@@ -10,42 +10,34 @@ be unit-norm (dot product = cosine). Evaluation subtracts the row maximum
 before exponentiating, so |logits| up to 1/tau stay finite at any
 temperature in (0, 1].
 
-Negative-set modes (LossConfig.negatives):
-    ALL_IN_BATCH   the other queries and the other queries' positives;
-                   a query never scores against itself, and its own
-                   positive appears once (as the positive term).
-    OTHER_QUERIES  only the other queries; positives never act as
-                   negatives (the point-only regime of stage 2).
-    integer K      an explicit pool of K rows shared by every query;
-                   pass `exclude_columns` when pool rows alias a query's
-                   own embedding or positive.
-
-Gradients are exact for all inputs, including the flow into negatives
-that alias other queries' embeddings.
+The pool is one explicit (K, M) array shared by every query, with K =
+LossConfig.negatives. `exclude_columns` names, per query, the pool
+columns it must not score against: the columns that alias its own
+embedding or its own positive when the pool is drawn from the batch.
+The gradient of every input is returned, the pool's included; a caller
+whose pool aliases the queries or positives adds grad_negatives back
+onto those rows.
 
 Queries are evaluated in row blocks of _CHUNK rows, each in one (C, K)
 workspace allocated once per call, not a fresh array per block.
-Excluded cells (the self column, the own-positive column, exclude_columns
-entries) are held as (row, column) index pairs, not as dense masks. A
-block's similarities become logits, then exponentials, in place:
-excluded cells are set to -inf before the row maximum, so exponentiating
-zeroes them. The exponentials are never normalised in the block; the
-softmax weights 1 / sum_exp scale the (C, M) products taken from it, and
-the own-positive term of each query is a row update. The sum of the
-negative similarities (for mean_negative_sim) is taken in closed form,
-sum(queries) . sum(pool) minus the excluded cells, not from the blocks.
+Excluded cells are held as (row, column) index pairs, not as dense
+masks. A block's similarities become logits, then exponentials, in
+place: excluded cells are set to -inf before the row maximum, so
+exponentiating zeroes them. The exponentials are never normalised in the
+block; the softmax weights 1 / sum_exp scale the (C, M) products taken
+from it, and the positive term of each query is a row update. The sum of
+the negative similarities (for mean_negative_sim) is taken in closed
+form, sum(queries) . sum(pool) minus the excluded cells, not from the
+blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadTemperature, NotNormalized
-
-ALL_IN_BATCH = "all_in_batch"
-OTHER_QUERIES = "other_queries"
+from .errors import BadTemperature, InvalidInput, NotNormalized
 
 UNIT_TOL = 1e-6
 # rows per loss block: 64 to 256 rows, or a budget of 2**18 cells, timed
@@ -56,14 +48,12 @@ _CHUNK = 128
 @dataclass(frozen=True)
 class LossConfig:
     tau: float = 0.4
-    negatives: object = ALL_IN_BATCH  # sentinel or explicit pool size K
+    negatives: int = field(kw_only=True)  # rows K of the pool
 
     def __post_init__(self):
-        if isinstance(self.negatives, str):
-            if self.negatives not in (ALL_IN_BATCH, OTHER_QUERIES):
-                raise ValueError(f"unknown negatives mode {self.negatives!r}")
-        elif int(self.negatives) < 1:
-            raise ValueError(f"explicit negative count must be >= 1, got {self.negatives}")
+        k = self.negatives
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise InvalidInput(f"negatives must be an int >= 1, got {k!r}")
 
 
 @dataclass
@@ -72,7 +62,7 @@ class LossOutput:
     per_query: np.ndarray
     grad_queries: np.ndarray
     grad_positives: np.ndarray
-    grad_negatives: np.ndarray | None  # None unless an explicit pool was passed
+    grad_negatives: np.ndarray
     mean_positive_sim: float
     mean_negative_sim: float
 
@@ -96,91 +86,64 @@ def _excluded_cells(exclude_columns, n: int, k_pool: int) -> np.ndarray:
     """
     excl = np.asarray(exclude_columns)
     if excl.ndim != 2 or excl.shape[0] != n or not np.issubdtype(excl.dtype, np.integer):
-        raise ValueError(
+        raise InvalidInput(
             f"exclude_columns must be an integer (N, E) array with N = {n}, "
             f"got {excl.dtype} {excl.shape}"
         )
     rows, slots = np.nonzero(excl >= 0)
     cols = excl[rows, slots].astype(np.int64)
     if cols.size and cols.max() >= k_pool:
-        raise ValueError(f"exclude_columns names column {cols.max()} of a {k_pool}-column pool")
+        raise InvalidInput(f"exclude_columns names column {cols.max()} of a {k_pool}-column pool")
     return np.unique(rows * k_pool + cols)
 
 
 def info_nce(
     queries: np.ndarray,
     positives: np.ndarray,
-    negatives: np.ndarray | None = None,
-    cfg: LossConfig = LossConfig(),
+    negatives: np.ndarray,
+    cfg: LossConfig,
     exclude_columns: np.ndarray | None = None,
 ) -> LossOutput:
     """Evaluate the loss and its gradients for one batch.
 
-    queries/positives are (N, M) with matched rows. `negatives` is required
-    exactly when cfg.negatives is an explicit count. `exclude_columns`
-    (N, E) marks pool columns a query must not score against (-1 padding);
-    it is only meaningful for an explicit pool.
+    queries/positives are (N, M) with matched rows; negatives is the
+    (cfg.negatives, M) pool. `exclude_columns` (N, E) marks pool columns a
+    query must not score against (-1 padding).
     """
     if not 0.0 < cfg.tau <= 1.0:
         raise BadTemperature(f"temperature must be in (0,1], got {cfg.tau}")
     queries = np.asarray(queries, dtype=np.float64)
     positives = np.asarray(positives, dtype=np.float64)
+    pool = np.asarray(negatives, dtype=np.float64)
     if queries.shape != positives.shape:
-        raise ValueError(f"queries {queries.shape} and positives {positives.shape} differ")
+        raise InvalidInput(f"queries {queries.shape} and positives {positives.shape} differ")
     n = queries.shape[0]
     if n == 0:
-        raise ValueError("need at least one query")
+        raise InvalidInput("need at least one query")
     check_unit_rows(queries, "queries")
     check_unit_rows(positives, "positives")
-
-    explicit = not isinstance(cfg.negatives, str)
-    if explicit:
-        if negatives is None:
-            raise ValueError("explicit negative count set but no pool passed")
-        negatives = np.asarray(negatives, dtype=np.float64)
-        check_unit_rows(negatives, "negatives")
-        if negatives.shape[0] != int(cfg.negatives):
-            raise ValueError(
-                f"pool has {negatives.shape[0]} rows, config says {cfg.negatives}"
-            )
-        pool = negatives
-        pos_in_pool = False
-        if exclude_columns is None:
-            excl_keys = np.empty(0, dtype=np.int64)
-        else:
-            excl_keys = _excluded_cells(exclude_columns, n, pool.shape[0])
-    else:
-        if negatives is not None:
-            raise ValueError(f"{cfg.negatives} mode builds its own pool; do not pass one")
-        if exclude_columns is not None:
-            raise ValueError("exclude_columns applies only to explicit pools")
-        if cfg.negatives == ALL_IN_BATCH:
-            pool = np.concatenate([queries, positives], axis=0)
-            pos_in_pool = True
-        else:
-            pool = queries
-            pos_in_pool = False
+    check_unit_rows(pool, "negatives")
+    if pool.shape != (cfg.negatives, queries.shape[1]):
+        raise InvalidInput(
+            f"pool is {pool.shape}, config and queries say ({cfg.negatives}, {queries.shape[1]})"
+        )
 
     k_pool = pool.shape[0]
     tau = cfg.tau
-    # cells that leave the denominator as (row, column) pairs, sorted by row:
-    # the self column, or the exclude_columns entries
-    dr, dc = np.divmod(excl_keys, k_pool) if explicit else (np.arange(n), np.arange(n))
-    nr, nc = dr, dc  # cells that are not negatives
-    if pos_in_pool:
-        nr, nc = np.concatenate([dr, dr]), np.concatenate([dc, n + dr])
+    # cells that leave the denominator as (row, column) pairs, sorted by row
+    if exclude_columns is None:
+        dr = dc = np.empty(0, dtype=np.int64)
+    else:
+        dr, dc = np.divmod(_excluded_cells(exclude_columns, n, k_pool), k_pool)
     pos_sims = np.einsum("ij,ij->i", queries, positives)
     neg_sim_sum = float(queries.sum(axis=0) @ pool.sum(axis=0))
-    neg_sim_sum -= float(np.einsum("ij,ij->", queries[nr], pool[nc]))
-    neg_count = n * k_pool - nr.size
+    neg_sim_sum -= float(np.einsum("ij,ij->", queries[dr], pool[dc]))
+    neg_count = n * k_pool - dr.size
 
     per_query = np.empty(n)
-    # tau * dL_i / d(q_i . p_i): the positive's softmax weight minus 1, or
-    # just -1 when the positive is a pool column, whose weight reaches
-    # grad_pool with the other columns
+    # tau * dL_i / d(q_i . p_i): the positive's softmax weight minus 1
     pos_coeff = np.full(n, -1.0)
     grad_q = np.zeros_like(queries)
-    grad_p = np.zeros_like(positives)
     # held transposed: (q * w).T @ block is a faster GEMM than block.T @ (q * w)
     grad_pool_t = np.zeros((pool.shape[1], k_pool))
     work = np.empty((min(_CHUNK, n), k_pool))
@@ -198,11 +161,9 @@ def info_nce(
         row_max = np.maximum(ex.max(axis=1), pos_logits)
         np.subtract(ex, row_max[:, None], out=ex)
         np.exp(ex, out=ex)  # exp(-inf) = 0 drops the excluded cells
-        sum_exp = ex.sum(axis=1)
-        if not pos_in_pool:
-            pos_exp = np.exp(pos_logits - row_max)
-            sum_exp = sum_exp + pos_exp
-            pos_coeff[start:stop] += pos_exp / sum_exp
+        pos_exp = np.exp(pos_logits - row_max)
+        sum_exp = ex.sum(axis=1) + pos_exp
+        pos_coeff[start:stop] += pos_exp / sum_exp
         per_query[start:stop] = row_max + np.log(sum_exp) - pos_logits
 
         # softmax normalisation scales the (C, M) products, not the block
@@ -211,17 +172,7 @@ def info_nce(
         grad_pool_t += (q * w).T @ ex
 
     grad_q += pos_coeff[:, None] * positives / tau
-    grad_p += pos_coeff[:, None] * queries / tau
-    grad_pool = grad_pool_t.T
-    if pos_in_pool:
-        grad_q += grad_pool[:n]
-        grad_p += grad_pool[n:]
-        grad_neg = None
-    elif explicit:
-        grad_neg = np.ascontiguousarray(grad_pool)
-    else:  # OTHER_QUERIES: pool aliases the queries
-        grad_q += grad_pool
-        grad_neg = None
+    grad_p = pos_coeff[:, None] * queries / tau
 
     total = float(per_query.sum())
     if not np.isfinite(total):
@@ -231,7 +182,7 @@ def info_nce(
         per_query=per_query,
         grad_queries=grad_q,
         grad_positives=grad_p,
-        grad_negatives=grad_neg,
+        grad_negatives=grad_pool_t.T,
         mean_positive_sim=float(pos_sims.sum()) / n,
         mean_negative_sim=neg_sim_sum / max(neg_count, 1),
     )

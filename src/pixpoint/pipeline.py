@@ -7,7 +7,8 @@ of at most negative_cap of the batch's sampled pixels.
 
 Stage 2 freezes the 2D model and trains the 3D encoder + head so point
 embeddings match the frozen pixel embedding at their pixel; negatives are
-the other sampled points (or points and pixels). Set-up voxelises each
+the other sampled points, or the points and their frozen pixel
+embeddings (negative_source). Set-up voxelises each
 distinct scan once and matches it to each of its pairs' pixels once,
 keeping the frozen embeddings at the z-buffer winners' pixels. A slot's
 matches are the winners that survive its dropout; no slot projects
@@ -16,6 +17,12 @@ needs it, and only at the union of its pairs' winners, as a slot samples
 no other point. A slot reads the neighbours of its sampled points only;
 the per-point MLP runs at those points and their neighbours, the point
 head at the sampled points.
+
+Both stages score a batch through one helper, `_batch_info_nce`. Its
+rows hold the queries, then their positives; the pool is a set of those
+rows, and each query excludes its own row and its own positive from it.
+Stage 1 pools a random subset of its rows, stage 2 a prefix: the points,
+or the points and the pixels.
 
 Both stages are bit-deterministic given their config: every random draw
 derives from (seed, stage, iteration, slot) so a failed batch can be
@@ -55,7 +62,7 @@ from .augment import (
 )
 from .errors import EmptyCloud, EmptyOverlap, InvalidInput, IterationStarved, NonFiniteLoss
 from .geometry import CameraIntrinsics, Image, PointCloud, Pose, build_correspondences, voxelize
-from .loss import ALL_IN_BATCH, OTHER_QUERIES, LossConfig, info_nce
+from .loss import LossConfig, info_nce
 from .nn import (
     EncoderParams2D,
     EncoderParams3D,
@@ -107,6 +114,17 @@ def default_spec_3d() -> TransformSpec3D:
     )
 
 
+def _check_stage_config(cfg) -> None:
+    """The checks that Stage1Config and Stage2Config share."""
+    for name in ("batch_pairs", "iterations", "feature_dim"):
+        if getattr(cfg, name) < 1:
+            raise InvalidInput(f"{name} must be >= 1")
+    if not 1 <= cfg.embed_dim <= cfg.feature_dim:
+        raise InvalidInput(f"embed_dim must be in [1, feature_dim = {cfg.feature_dim}]")
+    if not 0.0 < cfg.tau <= 1.0:  # NaN fails too
+        raise InvalidInput(f"tau must be in (0, 1], got {cfg.tau}")
+
+
 @dataclass(frozen=True)
 class Stage1Config:
     batch_pairs: int = 8
@@ -122,12 +140,9 @@ class Stage1Config:
     seed: int = 0
 
     def __post_init__(self):
+        _check_stage_config(self)
         if self.pixels_per_pair < 2:
             raise InvalidInput("pixels_per_pair must be >= 2")
-        if self.batch_pairs < 1:
-            raise InvalidInput("batch_pairs must be >= 1")
-        if self.iterations < 1:
-            raise InvalidInput("iterations must be >= 1")
         if not isinstance(self.negative_cap, (int, np.integer)) or self.negative_cap < 1:
             raise InvalidInput("negative_cap must be an int >= 1")
 
@@ -148,12 +163,11 @@ class Stage2Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_pairs < 1:
-            raise InvalidInput("batch_pairs must be >= 1")
-        if self.iterations < 1:
-            raise InvalidInput("iterations must be >= 1")
+        _check_stage_config(self)
         if self.correspondences_per_pair < 2:
             raise InvalidInput("correspondences_per_pair must be >= 2")
+        if self.knn < 1:
+            raise InvalidInput("knn must be >= 1")
         if self.negative_source not in (POINTS_ONLY, POINTS_AND_PIXELS):
             raise InvalidInput(f"unknown negative_source {self.negative_source!r}")
         if not self.voxel_size > 0:  # NaN fails too
@@ -237,7 +251,7 @@ def _train(stage: int, cfg, enc, head, audit: _NormAudit, n_items: int, step) ->
         except FloatingPointError as e:  # only info_nce raises it
             raise NonFiniteLoss(
                 f"stage {stage} iteration {it}: {e}; replay with seed={cfg.seed}, "
-                f"{'image' if stage == 1 else 'scene'} indices {picks.tolist()}"
+                f"{'image' if stage == 1 else 'pair'} indices {picks.tolist()}"
             ) from None
         skipped += n_skipped
 
@@ -257,6 +271,24 @@ def _train(stage: int, cfg, enc, head, audit: _NormAudit, n_items: int, step) ->
     )
 
 
+def _batch_info_nce(z: np.ndarray, pool, tau: float):
+    """info_nce of the batch rows z: queries z[:n], their positives z[n:]
+    and the pool z[pool], where pool indexes rows of z without repeats (a
+    slice is taken as a view). Each query excludes its own row and its own
+    positive where they are in the pool. Returns (LossOutput, the gradient
+    of every row of z, the pool's added back onto its rows)."""
+    n = z.shape[0] // 2
+    negatives = z[pool]
+    col_of = np.full(2 * n, -1, dtype=np.int64)
+    col_of[pool] = np.arange(negatives.shape[0])
+    excl = np.stack([col_of[:n], col_of[n:]], axis=1)  # own row and positive
+    cfg = LossConfig(tau=tau, negatives=negatives.shape[0])
+    out = info_nce(z[:n], z[n:], negatives, cfg, exclude_columns=excl)
+    grad_z = np.concatenate([out.grad_queries, out.grad_positives])
+    grad_z[pool] += out.grad_negatives
+    return out, grad_z
+
+
 # ── stage 1 ──────────────────────────────────────────────────────────────
 
 def pretrain_2d(dataset: list, cfg: Stage1Config):
@@ -265,7 +297,7 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
     Returns (EncoderParams2D, HeadParams, TrainReport).
     """
     if not dataset:
-        raise ValueError("dataset must be nonempty")
+        raise InvalidInput("dataset must be nonempty")
     enc = EncoderParams2D.initialize(cfg.seed, cfg.feature_dim)
     head = HeadParams.initialize(cfg.seed, cfg.feature_dim, cfg.embed_dim)
     audit = _NormAudit()
@@ -318,19 +350,9 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         sel_feats = feats[inv]
         z, head_cache = head_forward(head, sel_feats)
         audit.take(z)
-        nq = z.shape[0] // 2
-        zq, zp = z[:nq], z[nq:]
-
-        cap = min(int(cfg.negative_cap), 2 * nq)
-        pool_idx = rng_iter.choice(2 * nq, size=cap, replace=False)
-        col_of = np.full(2 * nq, -1, dtype=np.int64)
-        col_of[pool_idx] = np.arange(cap)
-        excl = np.stack([col_of[:nq], col_of[nq:]], axis=1)  # own row and positive
-        out = info_nce(
-            zq, zp, z[pool_idx], LossConfig(tau=cfg.tau, negatives=cap), exclude_columns=excl
-        )
-        grad_rows = np.concatenate([out.grad_queries, out.grad_positives])
-        grad_rows[pool_idx] += out.grad_negatives  # pool_idx has no repeats
+        cap = min(int(cfg.negative_cap), z.shape[0])
+        pool = rng_iter.choice(z.shape[0], size=cap, replace=False)
+        out, grad_rows = _batch_info_nce(z, pool, cfg.tau)
 
         grad_sel, head_grads = head_backward(head, head_cache, grad_rows)
         grad_feats = np.zeros_like(feats)
@@ -371,7 +393,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     the cloud is frozen, so this equals giving each pair its own copy.
     """
     if not dataset:
-        raise ValueError("dataset must be nonempty")
+        raise InvalidInput("dataset must be nonempty")
     enc2d, head2d = frozen2d
     frozen_tensors = _prefixed(enc2d.tensors(), head2d.tensors())
     checksum_start = checkpoint_checksum(frozen_tensors)
@@ -381,7 +403,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     # id(voxelised cloud) -> the sorted union of its pairs' z-buffer
     # winners: the only points a slot of that scan can sample
     winners = {}
-    scenes = []
+    pairs = []  # per pair: (voxelised scan, its winners, their targets)
     for pair in dataset:
         if id(pair.cloud) not in voxelised:
             voxelised[id(pair.cloud)] = voxelize(pair.cloud, cfg.voxel_size).cloud
@@ -389,7 +411,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         point_index, targets = frozen_pixel_embeddings(enc2d, head2d, pair, vox)
         audit.take(targets)
         winners[id(vox)] = np.union1d(winners.get(id(vox), point_index), point_index)
-        scenes.append((vox, point_index, targets))
+        pairs.append((vox, point_index, targets))
 
     enc = EncoderParams3D.initialize(cfg.seed, cfg.feature_dim, cfg.knn)
     head = HeadParams.initialize(derive_seed(cfg.seed, "head3d"), cfg.feature_dim, cfg.embed_dim)
@@ -398,28 +420,29 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     # reordering them, so each slot reads its exact kNN, in the scan's own
     # frame, from it.
     tables = {}
-    mode = OTHER_QUERIES if cfg.negative_source == POINTS_ONLY else ALL_IN_BATCH
+    # pool rows per query: its points, or its points and their pixels
+    pool_width = 1 if cfg.negative_source == POINTS_ONLY else 2
 
     def step(it, rng_iter, picks):
         skipped = 0
         caches = []
         feats_chunks = []
         pos_chunks = []
-        for k, scene_idx in enumerate(picks.tolist()):
-            vox, point_index, targets = scenes[scene_idx]
+        for k, pair_idx in enumerate(picks.tolist()):
+            vox, point_index, targets = pairs[pair_idx]
             try:
                 cloud_aug, index_map = augment_cloud(
                     vox, cfg.spec3d, derive_seed(cfg.seed, "s2aug", it, k)
                 )
             except EmptyCloud as e:
                 skipped += 1
-                log.warning("iteration %d: scene slot %d skipped (%s)", it, k, e)
+                log.warning("iteration %d: slot %d skipped (%s)", it, k, e)
                 continue
             rows = index_map[point_index]  # -1 where dropout removed a winner
             alive = np.flatnonzero(rows >= 0)
             if alive.size < 2:
                 skipped += 1
-                log.warning("iteration %d: scene slot %d yielded %d correspondences", it, k, alive.size)
+                log.warning("iteration %d: slot %d yielded %d correspondences", it, k, alive.size)
                 continue
             n_take = min(cfg.correspondences_per_pair, alive.size)
             rng_pick = rng_for(cfg.seed, "s2pick", it, k)
@@ -437,16 +460,17 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
             pos_chunks.append(targets[pick])
             caches.append(cache)
         if not caches:
-            raise IterationStarved(f"iteration {it}: every scene of the batch was skipped")
+            raise IterationStarved(f"iteration {it}: every pair of the batch was skipped")
 
         sel_feats = np.concatenate(feats_chunks)
-        positives = np.concatenate(pos_chunks)
         zq, head_cache = head_forward(head, sel_feats)
         audit.take(zq)
-        out = info_nce(zq, positives, None, LossConfig(tau=cfg.tau, negatives=mode))
+        n = zq.shape[0]
+        z = np.concatenate([zq, *pos_chunks])
+        out, grad_z = _batch_info_nce(z, slice(0, pool_width * n), cfg.tau)
 
-        # the frozen targets receive no gradient: out.grad_positives is dropped
-        grad_sel, head_grads = head_backward(head, head_cache, out.grad_queries)
+        # the frozen targets receive no gradient: their rows grad_z[n:] are dropped
+        grad_sel, head_grads = head_backward(head, head_cache, grad_z[:n])
         enc_grads = None
         offset = 0
         for cache, feats in zip(caches, feats_chunks):
@@ -455,7 +479,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
             enc_grads = g if enc_grads is None else {name: enc_grads[name] + g[name] for name in g}
         return out, enc_grads, head_grads, skipped
 
-    report = _train(2, cfg, enc, head, audit, len(scenes), step)
+    report = _train(2, cfg, enc, head, audit, len(pairs), step)
     report.frozen_checksum_start = checksum_start
     report.frozen_checksum_end = checkpoint_checksum(frozen_tensors)
     return enc, head, report

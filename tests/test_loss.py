@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from gradcheck import gradient_check
 
-from pixpoint import loss
-from pixpoint.errors import BadTemperature, NotNormalized
-from pixpoint.loss import ALL_IN_BATCH, OTHER_QUERIES, LossConfig, info_nce
+from pixpoint import loss, pipeline
+from pixpoint.errors import BadTemperature, InvalidInput, NotNormalized
+from pixpoint.loss import LossConfig, info_nce
 
 
 def unit_rows(n, m, seed):
@@ -74,8 +74,15 @@ class TestValidation:
 
     def test_pool_size_must_match_config(self):
         q = unit_rows(2, 4, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             info_nce(q, unit_rows(2, 4, 1), unit_rows(5, 4, 2), LossConfig(negatives=3))
+        with pytest.raises(InvalidInput):  # rows of another width
+            info_nce(q, unit_rows(2, 4, 1), unit_rows(5, 3, 2), LossConfig(negatives=5))
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0, "all_in_batch"])
+    def test_config_negatives_must_be_a_positive_int(self, bad):
+        with pytest.raises(InvalidInput, match="^negatives must be an int >= 1"):
+            LossConfig(negatives=bad)
 
 
 class TestProperties:
@@ -134,29 +141,81 @@ class TestProperties:
         assert np.all(np.isfinite(out.grad_queries))
 
 
+def rows_case(shape, n=40, k=24, m=8, seed=30):
+    """Unit rows z, queries z[:n] then their positives z[n:], a pool of
+    those rows as indices into z, and the exclude_columns that drop each
+    query's own row and own positive from it. The pool shapes are named by
+    the negatives each query sees:
+
+    other_queries  the queries (stage 2, points only);
+    all_in_batch   the queries, then the positives (stage 2 with pixels);
+    explicit       k random rows (stage 1), with more exclude_columns:
+                   -1 padding, a row naming one column twice, a column
+                   excluded for every query and a row excluding every column.
+    """
+    z = unit_rows(2 * n, m, seed)
+    if shape == "other_queries":
+        idx = np.arange(n)
+    elif shape == "all_in_batch":
+        idx = np.arange(2 * n)
+    else:
+        idx = np.random.default_rng(seed).choice(2 * n, size=k, replace=False)
+    col_of = np.full(2 * n, -1, dtype=np.int64)
+    col_of[idx] = np.arange(idx.size)
+    excl = np.stack([col_of[:n], col_of[n:]], axis=1)
+    if shape == "explicit":
+        extra = np.full((n, k), -1, dtype=np.int64)
+        extra[:, 0] = k - 1
+        extra[3, 1] = extra[3, 0]
+        extra[5] = np.arange(k)
+        excl = np.hstack([excl, extra])
+    return z, idx, excl
+
+
+def loss_inputs(shape, **kwargs):
+    """(queries, positives, pool, exclude_columns) of rows_case(shape)."""
+    z, idx, excl = rows_case(shape, **kwargs)
+    n = z.shape[0] // 2
+    return z[:n], z[n:], z[idx], excl
+
+
+SHAPES = ["explicit", "all_in_batch", "other_queries"]
+
+
+def expanded_loss(q, p, negatives, tau=0.4):
+    """One query's loss from its positive and its negatives, written out."""
+    s_pos = q @ p / tau
+    s_neg = negatives @ q / tau
+    return np.log(np.exp(s_pos) + np.exp(s_neg).sum()) - s_pos
+
+
 class TestBatchModes:
+    """The pools both stages build through pipeline._batch_info_nce, against
+    the per-query expansion of each."""
+
     def test_all_in_batch_matches_manual_expansion(self):
-        q = unit_rows(3, 6, 10)
-        p = unit_rows(3, 6, 11)
-        got = info_nce(q, p, None, LossConfig(tau=0.4, negatives=ALL_IN_BATCH))
-        # manual: per query i the pool is other queries + other positives
-        pool_all = np.vstack([q, p])
+        z = unit_rows(6, 6, 10)
+        got, _ = pipeline._batch_info_nce(z, slice(0, 6), 0.4)
         for i in range(3):
             keep = [j for j in range(6) if j != i and j != 3 + i]
-            s_pos = q[i] @ p[i] / 0.4
-            s_neg = pool_all[keep] @ q[i] / 0.4
-            expect = np.log(np.exp(s_pos) + np.exp(s_neg).sum()) - s_pos
+            expect = expanded_loss(z[i], z[3 + i], z[keep])
             assert got.per_query[i] == pytest.approx(expect, abs=1e-12)
 
     def test_other_queries_matches_manual_expansion(self):
-        q = unit_rows(4, 6, 12)
-        p = unit_rows(4, 6, 13)
-        got = info_nce(q, p, None, LossConfig(tau=0.4, negatives=OTHER_QUERIES))
+        z = unit_rows(8, 6, 12)
+        got, _ = pipeline._batch_info_nce(z, slice(0, 4), 0.4)
         for i in range(4):
             keep = [j for j in range(4) if j != i]
-            s_pos = q[i] @ p[i] / 0.4
-            s_neg = q[keep] @ q[i] / 0.4
-            expect = np.log(np.exp(s_pos) + np.exp(s_neg).sum()) - s_pos
+            expect = expanded_loss(z[i], z[4 + i], z[keep])
+            assert got.per_query[i] == pytest.approx(expect, abs=1e-12)
+
+    def test_random_subset_matches_manual_expansion(self):
+        z = unit_rows(10, 6, 13)
+        pool = np.array([7, 0, 4, 9, 2, 5])
+        got, _ = pipeline._batch_info_nce(z, pool, 0.4)
+        for i in range(5):
+            keep = [j for j in pool if j != i and j != 5 + i]
+            expect = expanded_loss(z[i], z[5 + i], z[keep])
             assert got.per_query[i] == pytest.approx(expect, abs=1e-12)
 
     def test_exclude_columns_drop_pool_entries(self):
@@ -167,17 +226,15 @@ class TestBatchModes:
         got = info_nce(q, p, pool, LossConfig(negatives=4), exclude_columns=excl)
         for i in range(2):
             keep = [j for j in range(4) if j != i]
-            s_pos = q[i] @ p[i] / 0.4
-            s_neg = pool[keep] @ q[i] / 0.4
-            expect = np.log(np.exp(s_pos) + np.exp(s_neg).sum()) - s_pos
-            assert got.per_query[i] == pytest.approx(expect, abs=1e-12)
+            assert got.per_query[i] == pytest.approx(expanded_loss(q[i], p[i], pool[keep]), abs=1e-12)
 
 
-def chained_loss_fn(mode, k=7, tau=0.4, exclude_columns=None):
-    """Raw (non-unit) parameters -> normalize rows -> info_nce.
+def chained_loss_fn(idx, excl, tau=0.4):
+    """Raw (non-unit) rows z -> normalize rows -> info_nce of queries z[:n]
+    and positives z[n:] against the pool z[idx].
 
-    Returns a loss_fn suitable for gradient_check: the normalization
-    backward is chained onto the loss gradients.
+    Returns a loss_fn suitable for gradient_check: the pool's gradient is
+    added back onto its rows and the normalization backward is chained on.
     """
 
     def normalize(v):
@@ -189,55 +246,40 @@ def chained_loss_fn(mode, k=7, tau=0.4, exclude_columns=None):
         return (grad_z - z * (grad_z * z).sum(axis=1, keepdims=True)) / norms
 
     def loss_fn(tensors):
-        zq = normalize(tensors["q"])
-        zp = normalize(tensors["p"])
-        if mode == "explicit":
-            zn = normalize(tensors["n"])
-            out = info_nce(zq, zp, zn, LossConfig(tau=tau, negatives=k), exclude_columns=exclude_columns)
-        else:
-            out = info_nce(zq, zp, None, LossConfig(tau=tau, negatives=mode))
-        grads = {
-            "q": norm_backward(tensors["q"], out.grad_queries),
-            "p": norm_backward(tensors["p"], out.grad_positives),
-        }
-        if mode == "explicit":
-            grads["n"] = norm_backward(tensors["n"], out.grad_negatives)
-        return out.total, grads
+        z = normalize(tensors["z"])
+        n = z.shape[0] // 2
+        cfg = LossConfig(tau=tau, negatives=idx.size)
+        out = info_nce(z[:n], z[n:], z[idx], cfg, exclude_columns=excl)
+        grad = np.concatenate([out.grad_queries, out.grad_positives])
+        np.add.at(grad, idx, out.grad_negatives)
+        return out.total, {"z": norm_backward(tensors["z"], grad)}
 
     return loss_fn
 
 
 class TestGradients:
-    @pytest.mark.parametrize("mode", ["explicit", ALL_IN_BATCH, OTHER_QUERIES])
-    def test_certified_against_finite_differences(self, mode):
-        rng = np.random.default_rng(20)
-        params = {"q": rng.normal(size=(5, 6)), "p": rng.normal(size=(5, 6))}
-        if mode == "explicit":
-            params["n"] = rng.normal(size=(7, 6))
-        err = gradient_check(chained_loss_fn(mode), params, rng_seed=21)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_certified_against_finite_differences(self, shape):
+        _, idx, excl = rows_case(shape, n=8, k=7, m=6, seed=20)
+        params = {"z": np.random.default_rng(20).normal(size=(16, 6))}
+        err = gradient_check(chained_loss_fn(idx, excl), params, rng_seed=21)
         assert err < 1e-4
 
-    @pytest.mark.parametrize("mode", ["explicit", ALL_IN_BATCH, OTHER_QUERIES])
-    def test_certified_across_row_blocks(self, mode, monkeypatch):
-        # the softmax normalisation and the own-positive terms are applied
-        # per block; exclude_columns holds a row that excludes every column
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_certified_across_row_blocks(self, shape, monkeypatch):
+        # the softmax normalisation and the positive terms are applied per
+        # block; the explicit pool's exclude_columns holds a row that
+        # excludes every column
         monkeypatch.setattr(loss, "_CHUNK", 7)  # 40 rows: blocks of 7, last of 5
-        q, p, pool, excl = explicit_case()
-        params = {"q": q, "p": p}
-        if mode == "explicit":
-            params["n"] = pool
-            fn = chained_loss_fn(mode, k=pool.shape[0], tau=0.2, exclude_columns=excl)
-        else:
-            fn = chained_loss_fn(mode, tau=0.2)
-        err = gradient_check(fn, params, rng_seed=23, n_coords=1000)  # every coordinate
+        z, idx, excl = rows_case(shape)
+        fn = chained_loss_fn(idx, excl, tau=0.2)
+        err = gradient_check(fn, {"z": z}, rng_seed=23, n_coords=1000)  # every coordinate
         assert err < 1e-4
 
     def test_gradient_descent_on_embeddings_reduces_loss(self):
-        rng = np.random.default_rng(22)
-        raw_q = rng.normal(size=(6, 8))
-        raw_p = rng.normal(size=(6, 8))
-        fn = chained_loss_fn(ALL_IN_BATCH)
-        params = {"q": raw_q, "p": raw_p}
+        _, idx, excl = rows_case("all_in_batch", n=6)
+        fn = chained_loss_fn(idx, excl)
+        params = {"z": np.random.default_rng(22).normal(size=(12, 8))}
         first, grads = fn(params)
         for _ in range(50):
             loss, grads = fn(params)
@@ -262,14 +304,8 @@ def reference_info_nce(queries, positives, negatives, cfg, exclude_columns=None,
     fresh array per step. Inputs are assumed valid (unit rows, right shapes).
     Returns (total, per_query, grad_q, grad_p, grad_neg, mean_negative_sim).
     """
-    explicit = not isinstance(cfg.negatives, str)
+    pool = negatives
     n = queries.shape[0]
-    if explicit:
-        pool, pos_in_pool = negatives, False
-    elif cfg.negatives == ALL_IN_BATCH:
-        pool, pos_in_pool = np.concatenate([queries, positives], axis=0), True
-    else:
-        pool, pos_in_pool = queries, False
     tau = cfg.tau
     per_query = np.empty(n)
     grad_q = np.zeros_like(queries)
@@ -282,18 +318,13 @@ def reference_info_nce(queries, positives, negatives, cfg, exclude_columns=None,
         stop = min(start + chunk, n)
         q = queries[start:stop]
         p = positives[start:stop]
-        rows = np.arange(start, stop)
-        local = rows - start
+        local = np.arange(stop - start)
 
         sims = q @ pool.T
         pos_sims = np.einsum("ij,ij->i", q, p)
 
         neg_mask = np.zeros(sims.shape, dtype=bool)  # True = not a negative
-        if not explicit:
-            neg_mask[local, rows] = True
-            if pos_in_pool:
-                neg_mask[local, n + rows] = True
-        elif exclude_columns is not None:
+        if exclude_columns is not None:
             sub = exclude_columns[start:stop]
             for e in range(sub.shape[1]):
                 col = sub[:, e]
@@ -304,55 +335,22 @@ def reference_info_nce(queries, positives, negatives, cfg, exclude_columns=None,
 
         logits = sims / tau
         pos_logits = pos_sims / tau
-        denom_mask = neg_mask.copy()
-        if pos_in_pool:
-            denom_mask[local, n + rows] = False
-        masked = np.where(denom_mask, -np.inf, logits)
+        masked = np.where(neg_mask, -np.inf, logits)
         row_max = np.maximum(masked.max(axis=1), pos_logits)
         exp_masked = np.exp(masked - row_max[:, None])
-        exp_masked[denom_mask] = 0.0
-        sum_exp = exp_masked.sum(axis=1)
-        if not pos_in_pool:
-            sum_exp = sum_exp + np.exp(pos_logits - row_max)
+        exp_masked[neg_mask] = 0.0
+        sum_exp = exp_masked.sum(axis=1) + np.exp(pos_logits - row_max)
         lse = row_max + np.log(sum_exp)
         per_query[start:stop] = lse - pos_logits
 
         coeff = exp_masked / sum_exp[:, None]
-        if pos_in_pool:
-            coeff[local, n + rows] -= 1.0
-            grad_q[start:stop] += coeff @ pool / tau
-        else:
-            p_pos = np.exp(pos_logits - row_max) / sum_exp
-            grad_q[start:stop] += (coeff @ pool + (p_pos - 1.0)[:, None] * p) / tau
-            grad_p[start:stop] += (p_pos - 1.0)[:, None] * q / tau
+        p_pos = np.exp(pos_logits - row_max) / sum_exp
+        grad_q[start:stop] += (coeff @ pool + (p_pos - 1.0)[:, None] * p) / tau
+        grad_p[start:stop] += (p_pos - 1.0)[:, None] * q / tau
         grad_pool += coeff.T @ q / tau
 
-    grad_neg = None
-    if pos_in_pool:
-        grad_q += grad_pool[:n]
-        grad_p += grad_pool[n:]
-    elif explicit:
-        grad_neg = grad_pool
-    else:
-        grad_q += grad_pool
     mean_neg = neg_sim_sum / max(neg_count, 1)
-    return float(per_query.sum()), per_query, grad_q, grad_p, grad_neg, mean_neg
-
-
-def explicit_case(n=40, k=24, m=8, seed=30):
-    """Queries, positives and a pool whose first rows alias the queries,
-    with exclude_columns holding -1 padding, a row naming one column twice,
-    a column excluded for every query and a row excluding every column."""
-    q = unit_rows(n, m, seed)
-    p = unit_rows(n, m, seed + 1)
-    pool = np.vstack([q[: k // 2], unit_rows(k - k // 2, m, seed + 2)])
-    excl = np.full((n, k + 1), -1, dtype=np.int64)
-    for i in range(k // 2):
-        excl[i, 0] = i  # own alias
-    excl[:, 1] = k - 1  # excluded for every query
-    excl[3, 2] = excl[3, 0]  # repeated entry
-    excl[5, :k] = np.arange(k)  # every pool column
-    return q, p, pool, excl
+    return float(per_query.sum()), per_query, grad_q, grad_p, grad_pool, mean_neg
 
 
 class TestAgainstDenseMaskReference:
@@ -364,40 +362,34 @@ class TestAgainstDenseMaskReference:
         total, per_query, grad_q, grad_p, grad_neg, mean_neg = ref
         assert np.array_equal(got.per_query, per_query)
         assert got.total == total
-        for a, b in ((got.grad_queries, grad_q), (got.grad_positives, grad_p)):
+        for a, b in ((got.grad_queries, grad_q), (got.grad_positives, grad_p), (got.grad_negatives, grad_neg)):
             assert np.abs(a - b).max(initial=0.0) <= grad_tol
-        if grad_neg is None:
-            assert got.grad_negatives is None
-        else:
-            assert np.abs(got.grad_negatives - grad_neg).max() <= grad_tol
         assert got.mean_negative_sim == pytest.approx(mean_neg, abs=1e-12, rel=0)
 
-    @pytest.mark.parametrize("mode", [OTHER_QUERIES, ALL_IN_BATCH])
+    @pytest.mark.parametrize("mode", ["other_queries", "all_in_batch"])
     def test_batch_modes(self, mode):
-        q, p = unit_rows(50, 8, 40), unit_rows(50, 8, 41)
-        cfg = LossConfig(tau=0.3, negatives=mode)
-        self.assert_matches(info_nce(q, p, None, cfg), reference_info_nce(q, p, None, cfg))
+        q, p, pool, excl = loss_inputs(mode, n=50, seed=40)
+        cfg = LossConfig(tau=0.3, negatives=pool.shape[0])
+        got = info_nce(q, p, pool, cfg, exclude_columns=excl)
+        self.assert_matches(got, reference_info_nce(q, p, pool, cfg, excl))
 
     def test_explicit_pool_without_exclusions(self):
-        q, p, pool, _ = explicit_case()
+        q, p, pool, _ = loss_inputs("explicit")
         cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
         self.assert_matches(info_nce(q, p, pool, cfg), reference_info_nce(q, p, pool, cfg))
 
     def test_explicit_pool_with_exclude_columns(self):
-        q, p, pool, excl = explicit_case()
+        q, p, pool, excl = loss_inputs("explicit")
         cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
         got = info_nce(q, p, pool, cfg, exclude_columns=excl)
         self.assert_matches(got, reference_info_nce(q, p, pool, cfg, excl))
         # the fully excluded row scores its positive alone
         assert got.per_query[5] == 0.0
 
-    @pytest.mark.parametrize("mode", [OTHER_QUERIES, ALL_IN_BATCH, "explicit"])
+    @pytest.mark.parametrize("mode", SHAPES)
     def test_ragged_row_blocks(self, mode, monkeypatch):
-        q, p, pool, excl = explicit_case()
-        if mode == "explicit":
-            cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
-        else:
-            cfg, pool, excl = LossConfig(tau=0.2, negatives=mode), None, None
+        q, p, pool, excl = loss_inputs(mode)
+        cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
         whole = reference_info_nce(q, p, pool, cfg, excl)
         monkeypatch.setattr(loss, "_CHUNK", 7)  # 40 rows: blocks of 7, last of 5
         got = info_nce(q, p, pool, cfg, exclude_columns=excl)
@@ -405,7 +397,7 @@ class TestAgainstDenseMaskReference:
         assert np.array_equal(got.per_query, whole[1])
         self.assert_matches(got, whole)
 
-    @pytest.mark.parametrize("mode", [OTHER_QUERIES, ALL_IN_BATCH, "explicit"])
+    @pytest.mark.parametrize("mode", SHAPES)
     def test_outputs_share_no_memory(self, mode, monkeypatch):
         workspaces = []
         matmul = np.matmul
@@ -417,11 +409,8 @@ class TestAgainstDenseMaskReference:
 
         monkeypatch.setattr(np, "matmul", recorded)
         monkeypatch.setattr(loss, "_CHUNK", 7)
-        q, p, pool, excl = explicit_case()
-        if mode == "explicit":
-            cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
-        else:
-            cfg, pool, excl = LossConfig(tau=0.2, negatives=mode), None, None
+        q, p, pool, excl = loss_inputs(mode)
+        cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
         outs = [info_nce(q, p, pool, cfg, exclude_columns=excl) for _ in range(2)]
         # 6 blocks per call, all in one workspace per call
         assert len(workspaces) == 2 * 6 and len({id(w) for w in workspaces}) == 2
@@ -429,15 +418,14 @@ class TestAgainstDenseMaskReference:
             a
             for o in outs
             for a in (o.per_query, o.grad_queries, o.grad_positives, o.grad_negatives)
-            if a is not None
         ]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, w) for w in workspaces)
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
     def test_malformed_exclude_columns_rejected(self):
-        q, p, pool, excl = explicit_case()
+        q, p, pool, excl = loss_inputs("explicit")
         cfg = LossConfig(negatives=pool.shape[0])
         for bad in (excl[:-1], excl[:, 0], excl.astype(float), np.where(excl == 0, pool.shape[0], excl)):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidInput):
                 info_nce(q, p, pool, cfg, exclude_columns=bad)

@@ -2,20 +2,26 @@
 
 Stage 1: determinism, that computing conv3 only at the sampled pixels
 trains as the dense encoder does, that a negative cap above the batch
-scores as ALL_IN_BATCH does, and the starved-iteration error.
-Stage 2: determinism, the untouched frozen stage-1 model, that reading kNN
+scores as the pool of all the batch's rows does, and the
+starved-iteration error.
+Stage 2: determinism in both negative_source modes, the untouched frozen
+stage-1 model, that reading kNN
 from the per-scan neighbour tables trains exactly as an exact search of
 every slot's surviving points would, that pairs sharing one scan share
 its voxelisation and table yet train as pairs holding copies do, and that
 each pair is matched once: a slot's matches are the scan's own z-buffer
 winners that survive dropout, with the frozen embeddings at their pixels.
 Both: config validation, a finite-difference check of one whole step's
-gradient, skipped slots counted with the learning rate still following
-the schedule, and a non-finite loss naming the batch that produced it.
+gradient (stage 2 in both modes), skipped slots counted with the learning
+rate still following the schedule, a non-finite loss naming the batch
+that produced it, and each info_nce call taking its LossConfig as the
+fourth positional argument with the pool's row count, which
+bench/tracer.py reads.
 """
 
 import re
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,9 +39,16 @@ from pixpoint.augment import (
     TransformSpec2D,
     TransformSpec3D,
 )
-from pixpoint.errors import EmptyCloud, EmptyOverlap, IterationStarved, NonFiniteLoss, PixpointError
+from pixpoint.errors import (
+    EmptyCloud,
+    EmptyOverlap,
+    InvalidInput,
+    IterationStarved,
+    NonFiniteLoss,
+    PixpointError,
+)
 from pixpoint.geometry import CameraIntrinsics, Image, PointCloud, Pose, build_correspondences, voxelize
-from pixpoint.loss import ALL_IN_BATCH, LossConfig
+from pixpoint.loss import LossConfig
 from pixpoint.nn import (
     EncoderParams2D,
     EncoderParams3D,
@@ -171,7 +184,8 @@ def test_stage1_cap_above_the_batch_scores_all_in_batch(dataset, monkeypatch):
     monkeypatch.setattr(pipeline, "info_nce", recording)
     _, report = run_stage1(dataset, negative_cap=10**6, iterations=1)
     queries, positives, total = calls[0]
-    whole = real(queries, positives, None, LossConfig(tau=STAGE1.tau, negatives=ALL_IN_BATCH))
+    rows = np.concatenate([queries, positives])
+    whole, _ = pipeline._batch_info_nce(rows, slice(0, len(rows)), STAGE1.tau)
     assert total == pytest.approx(whole.total, rel=1e-12, abs=0.0)
     assert report.loss_history[0] == total
 
@@ -201,9 +215,13 @@ def run_stage2(dataset, **changes):
     return tensors_of(enc, head), report
 
 
-def test_two_runs_are_bit_identical(dataset):
-    first, report_a = run_stage2(dataset)
-    second, report_b = run_stage2(dataset)
+NEGATIVE_SOURCES = [pipeline.POINTS_ONLY, pipeline.POINTS_AND_PIXELS]
+
+
+@pytest.mark.parametrize("source", NEGATIVE_SOURCES)
+def test_two_runs_are_bit_identical(dataset, source):
+    first, report_a = run_stage2(dataset, negative_source=source)
+    second, report_b = run_stage2(dataset, negative_source=source)
     assert checkpoint_checksum(first) == checkpoint_checksum(second)
     assert np.array_equal(report_a.loss_history, report_b.loss_history)
     assert np.all(np.isfinite(report_a.loss_history))
@@ -370,8 +388,10 @@ def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypa
     assert slot == len(rows) == len(index_maps)
 
 
-def test_stage2_step_gradient_matches_finite_differences(dataset, monkeypatch):
-    error = step_gradient_error(dataset, monkeypatch, run_stage2, EncoderParams3D, k=STAGE2.knn)
+@pytest.mark.parametrize("source", NEGATIVE_SOURCES)
+def test_stage2_step_gradient_matches_finite_differences(dataset, monkeypatch, source):
+    run = partial(run_stage2, negative_source=source)
+    error = step_gradient_error(dataset, monkeypatch, run, EncoderParams3D, k=STAGE2.knn)
     assert error < 1e-4
 
 
@@ -398,6 +418,13 @@ def test_config_rejects_counts_below_one(config, field):
         lambda: pipeline.Stage2Config(correspondences_per_pair=1),
         lambda: pipeline.Stage2Config(negative_source="pixels_only"),
         lambda: pipeline.Stage2Config(voxel_size=float("nan")),
+        lambda: pipeline.Stage1Config(tau=0.0),
+        lambda: pipeline.Stage2Config(tau=2.0),
+        lambda: pipeline.Stage2Config(knn=0),
+        lambda: pipeline.Stage1Config(feature_dim=0),
+        lambda: pipeline.Stage2Config(feature_dim=0),
+        lambda: pipeline.Stage1Config(embed_dim=0),
+        lambda: pipeline.Stage2Config(embed_dim=32),
         lambda: RandomResizedCrop(scale_range=(0.0, 1.0), out_size=(8, 8)),
         lambda: HorizontalFlip(p=1.5),
         lambda: ColorJitter(brightness=(1.2, 0.8)),
@@ -413,6 +440,13 @@ def test_config_rejects_counts_below_one(config, field):
         "Stage2Config",
         "Stage2Config-negatives",
         "Stage2Config-voxel",
+        "Stage1Config-tau",
+        "Stage2Config-tau",
+        "Stage2Config-knn",
+        "Stage1Config-feature_dim",
+        "Stage2Config-feature_dim",
+        "Stage1Config-embed_dim",
+        "Stage2Config-embed_dim",
         "RandomResizedCrop",
         "HorizontalFlip",
         "ColorJitter",
@@ -426,6 +460,14 @@ def test_config_rejects_counts_below_one(config, field):
 def test_configs_and_transforms_raise_a_pixpoint_error(make):
     with pytest.raises(PixpointError):
         make()
+
+
+def test_drivers_reject_an_empty_dataset():
+    frozen = (EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS))
+    with pytest.raises(InvalidInput, match="^dataset must be nonempty$"):
+        pipeline.pretrain_2d([], STAGE1)
+    with pytest.raises(InvalidInput, match="^dataset must be nonempty$"):
+        pipeline.pretrain_3d([], frozen, STAGE2)
 
 
 def test_scene_pair_rejects_image_of_another_size(dataset):
@@ -467,7 +509,7 @@ def test_skipped_slot_is_counted(dataset, monkeypatch, run, cfg, name, failures,
 
 @pytest.mark.parametrize(
     "stage, run, seed, what",
-    [(1, run_stage1, STAGE1.seed, "image"), (2, run_stage2, STAGE2.seed, "scene")],
+    [(1, run_stage1, STAGE1.seed, "image"), (2, run_stage2, STAGE2.seed, "pair")],
 )
 def test_non_finite_loss_names_its_batch(dataset, monkeypatch, stage, run, seed, what):
     real = pipeline.info_nce
@@ -487,3 +529,29 @@ def test_non_finite_loss_names_its_batch(dataset, monkeypatch, stage, run, seed,
     )
     with pytest.raises(NonFiniteLoss, match=re.escape(expect)):
         run(dataset)
+
+
+@pytest.mark.parametrize(
+    "run, changes, width",
+    [
+        (run_stage1, {}, lambda n: min(STAGE1.negative_cap, 2 * n)),
+        (run_stage2, {"negative_source": pipeline.POINTS_ONLY}, lambda n: n),
+        (run_stage2, {"negative_source": pipeline.POINTS_AND_PIXELS}, lambda n: 2 * n),
+    ],
+    ids=["stage1", "stage2-points_only", "stage2-points_and_pixels"],
+)
+def test_info_nce_takes_its_config_fourth_with_the_pool_width(dataset, monkeypatch, run, changes, width):
+    """bench/tracer.py reads each call's pool width as args[3].negatives."""
+    real = pipeline.info_nce
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "info_nce", recording)
+    run(dataset, iterations=2, **changes)
+    assert len(calls) == 2
+    for queries, _, pool, cfg in calls:
+        assert type(cfg) is LossConfig and type(cfg.negatives) is int
+        assert cfg.negatives == pool.shape[0] == width(queries.shape[0])
