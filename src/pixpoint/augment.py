@@ -306,7 +306,7 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed
     valid pixels matches.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise InvalidInput(f"count must be >= 1, got {count}")
     av = map_a.valid.ravel()
     bv = map_b.valid.ravel()
     a_src = map_a.src.reshape(-1, 2)[av]
@@ -364,7 +364,7 @@ def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
     runs, so a slot's matches are the z-buffer winners that survive dropout.
     """
     if len(cloud) == 0:
-        raise ValueError("cloud must be nonempty")
+        raise InvalidInput("cloud must be nonempty")
     rng = rng_for(rng_seed, "augment3d")
     pos = np.array(cloud.positions)
     col = np.array(cloud.colors)

@@ -12,7 +12,9 @@ class PixpointError(Exception):
 
 class InvalidInput(PixpointError, ValueError):
     """A data class (image, cloud, pose, camera, matches, pair), a transform
-    descriptor, a stage or loss config, the loss or a stage driver got bad
+    descriptor, a stage, loss, optimiser or scene config, the learning-rate
+    schedule, the loss, a stage driver or a data function (voxelize,
+    build_correspondences, augment_cloud, match_positive_pixels) got bad
     values."""
 
 

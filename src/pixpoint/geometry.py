@@ -191,7 +191,7 @@ def build_correspondences(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics)
     pixel falls outside the integer grid are simply absent.
     """
     if len(cloud) == 0:
-        raise ValueError("cloud must be nonempty")
+        raise InvalidInput("cloud must be nonempty")
     u, v, z, valid = project_points(cloud.positions, pose, intr)
     iu = np.floor(u + 0.5).astype(np.int64)
     iv = np.floor(v + 0.5).astype(np.int64)
@@ -225,7 +225,7 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
     map sends each original point to its voxel's output index.
     """
     if not voxel_size > 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
+        raise InvalidInput(f"voxel_size must be positive, got {voxel_size}")
     keys = np.floor(cloud.positions / voxel_size)
     # one int64 key per voxel from the ranks of its coordinates on each
     # axis: below N**3 however wide the cloud, and in the lexicographic

@@ -4,11 +4,11 @@ Per query i with positive p_i and a pool of negatives {n_j}:
 
     L_i = -log  exp(q_i . p_i / tau) /
                 ( exp(q_i . p_i / tau) + sum_j exp(q_i . n_j / tau) )
+        = log(1 + sum_j exp((q_i . n_j - q_i . p_i) / tau))
 
 and the reported loss is the sum over queries. Rows of every input must
-be unit-norm (dot product = cosine). Evaluation subtracts the row maximum
-before exponentiating, so |logits| up to 1/tau stay finite at any
-temperature in (0, 1].
+be unit-norm (dot product = cosine), so every logit of row i lies below
+the bound |q_i| max_j |n_j| / tau, about 1/tau.
 
 The pool is one explicit (K, M) array shared by every query, with K =
 LossConfig.negatives. `exclude_columns` names, per query, the pool
@@ -19,16 +19,31 @@ whose pool aliases the queries or positives adds grad_negatives back
 onto those rows.
 
 Queries are evaluated in row blocks of _CHUNK rows, each in one (C, K)
-workspace allocated once per call, not a fresh array per block.
+workspace allocated once per call, not a fresh array per block. Each row
+i is shifted by s_i before exponentiating, and the shift is taken inside
+the block's GEMM as one extra column, [q / tau, -s] @ [pool, 1].T, so the
+block is written as shifted logits and then exponentiated in place: no
+pass divides it by tau, takes its row maximum or subtracts one. The
+shift is the positive's logit, so the positive's term is exp(0) = 1 and
+L_i = (s_i - q_i . p_i / tau) + log(sum_exp) is log(1 + sum), never
+negative, and exactly 0 for a row that excludes every column.
+
+A shifted logit is at most the bound less the positive's logit. The
+row's K + 1 exponentials stay finite while that gap is below
+log(DBL_MAX / (K + 1)), less one for rounding: about 700 at K = 4096.
+The gap is at most about 2/tau, so there every row takes the positive's
+logit at tau >= 1/350. Far rows, whose gap exceeds that margin, can only
+occur at smaller tau; they take their exact row maximum instead, from
+one small GEMM over those rows only, and go through the same block code.
+So the loss stays finite at any temperature in (0, 1].
+
 Excluded cells are held as (row, column) index pairs, not as dense
-masks. A block's similarities become logits, then exponentials, in
-place: excluded cells are set to -inf before the row maximum, so
-exponentiating zeroes them. The exponentials are never normalised in the
-block; the softmax weights 1 / sum_exp scale the (C, M) products taken
-from it, and the positive term of each query is a row update. The sum of
-the negative similarities (for mean_negative_sim) is taken in closed
-form, sum(queries) . sum(pool) minus the excluded cells, not from the
-blocks.
+masks, and set to -inf in the block, so exponentiating zeroes them. The
+exponentials are never normalised in the block; the softmax weights 1 /
+sum_exp scale the (C, M) products taken from it, and the positive term of
+each query is a row update. The sum of the negative similarities (for
+mean_negative_sim) is taken in closed form, sum(queries) . sum(pool)
+minus the excluded cells, not from the blocks.
 """
 
 from __future__ import annotations
@@ -128,7 +143,7 @@ def info_nce(
             f"pool is {pool.shape}, config and queries say ({cfg.negatives}, {queries.shape[1]})"
         )
 
-    k_pool = pool.shape[0]
+    k_pool, m = pool.shape
     tau = cfg.tau
     # cells that leave the denominator as (row, column) pairs, sorted by row
     if exclude_columns is None:
@@ -140,12 +155,29 @@ def info_nce(
     neg_sim_sum -= float(np.einsum("ij,ij->", queries[dr], pool[dc]))
     neg_count = n * k_pool - dr.size
 
-    per_query = np.empty(n)
-    # tau * dL_i / d(q_i . p_i): the positive's softmax weight minus 1
-    pos_coeff = np.full(n, -1.0)
+    pos_logits = pos_sims / tau
+    shift = pos_logits.copy()
+    # A row's K + 1 exponentials sum to a finite value while its logits lie
+    # less than this above the shift (one spare for rounding). Far rows, whose
+    # logit bound is further above their positive's logit, shift by their
+    # exact maximum logit instead.
+    margin = np.log(np.finfo(np.float64).max / (k_pool + 1)) - 1.0
+    far = np.flatnonzero((1.0 + UNIT_TOL) ** 2 / tau - pos_logits > margin)
+    if far.size:
+        logits = (queries[far] / tau) @ pool.T
+        in_far = np.isin(dr, far)
+        logits[np.searchsorted(far, dr[in_far]), dc[in_far]] = -np.inf
+        shift[far] = np.maximum(logits.max(axis=1), pos_logits[far])
+    pos_exp = np.exp(pos_logits - shift)  # 1 on every row but the far ones
+    sum_exp = pos_exp.copy()
+
     grad_q = np.zeros_like(queries)
     # held transposed: (q * w).T @ block is a faster GEMM than block.T @ (q * w)
-    grad_pool_t = np.zeros((pool.shape[1], k_pool))
+    grad_pool_t = np.zeros((m, k_pool))
+    # [q / tau, -shift] @ [pool, 1].T: a block's logits, each row already shifted
+    pool_aug = np.ones((k_pool, m + 1))
+    pool_aug[:, :m] = pool
+    q_aug = np.empty((min(_CHUNK, n), m + 1))
     work = np.empty((min(_CHUNK, n), k_pool))
 
     for start in range(0, n, _CHUNK):
@@ -153,24 +185,23 @@ def info_nce(
         q = queries[start:stop]
         lo, hi = np.searchsorted(dr, (start, stop))
 
-        # similarities, then logits, then unnormalised exponentials, in place
-        ex = np.matmul(q, pool.T, out=work[: stop - start])
-        np.divide(ex, tau, out=ex)
-        pos_logits = pos_sims[start:stop] / tau
+        qa = q_aug[: stop - start]
+        np.divide(q, tau, out=qa[:, :m])
+        np.negative(shift[start:stop], out=qa[:, m])
+        # shifted logits, then unnormalised exponentials, in place
+        ex = np.matmul(qa, pool_aug.T, out=work[: stop - start])
         ex[dr[lo:hi] - start, dc[lo:hi]] = -np.inf
-        row_max = np.maximum(ex.max(axis=1), pos_logits)
-        np.subtract(ex, row_max[:, None], out=ex)
         np.exp(ex, out=ex)  # exp(-inf) = 0 drops the excluded cells
-        pos_exp = np.exp(pos_logits - row_max)
-        sum_exp = ex.sum(axis=1) + pos_exp
-        pos_coeff[start:stop] += pos_exp / sum_exp
-        per_query[start:stop] = row_max + np.log(sum_exp) - pos_logits
+        sum_exp[start:stop] += ex.sum(axis=1)
 
         # softmax normalisation scales the (C, M) products, not the block
-        w = (1.0 / (tau * sum_exp))[:, None]
+        w = (1.0 / (tau * sum_exp[start:stop]))[:, None]
         grad_q[start:stop] += (ex @ pool) * w
         grad_pool_t += (q * w).T @ ex
 
+    per_query = (shift - pos_logits) + np.log(sum_exp)
+    # tau * dL_i / d(q_i . p_i): the positive's softmax weight minus 1
+    pos_coeff = pos_exp / sum_exp - 1.0
     grad_q += pos_coeff[:, None] * positives / tau
     grad_p = pos_coeff[:, None] * queries / tau
 

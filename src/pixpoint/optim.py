@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ShapeError
+from .errors import InvalidInput, NonFiniteGradient, ShapeError
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,17 @@ class OptimConfig:
 
     def __post_init__(self):
         if not self.lr0 >= 0:
-            raise ValueError(f"lr0 must be nonnegative, got {self.lr0}")
+            raise InvalidInput(f"lr0 must be nonnegative, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
+            raise InvalidInput(f"momentum must be in [0,1), got {self.momentum}")
         if not 0.0 <= self.dampening <= 1.0:
-            raise ValueError(f"dampening must be in [0,1], got {self.dampening}")
+            raise InvalidInput(f"dampening must be in [0,1], got {self.dampening}")
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+            raise InvalidInput(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0,1], got {self.gamma}")
+            raise InvalidInput(f"gamma must be in (0,1], got {self.gamma}")
         if self.decay_every < 1:
-            raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
+            raise InvalidInput(f"decay_every must be >= 1, got {self.decay_every}")
 
 
 @dataclass
@@ -50,7 +50,7 @@ class OptimState:
 
 def lr_schedule(step: int, cfg: OptimConfig) -> float:
     if step < 0:
-        raise ValueError(f"step must be nonnegative, got {step}")
+        raise InvalidInput(f"step must be nonnegative, got {step}")
     return cfg.lr0 * cfg.gamma ** (step // cfg.decay_every)
 
 

@@ -428,12 +428,14 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         caches = []
         feats_chunks = []
         pos_chunks = []
+        # every slot's seeds in one run of calls: interleaved with the slots'
+        # array work, the same calls took about twice as long
+        aug_seeds = [derive_seed(cfg.seed, "s2aug", it, k) for k in range(len(picks))]
+        pick_rngs = [rng_for(cfg.seed, "s2pick", it, k) for k in range(len(picks))]
         for k, pair_idx in enumerate(picks.tolist()):
             vox, point_index, targets = pairs[pair_idx]
             try:
-                cloud_aug, index_map = augment_cloud(
-                    vox, cfg.spec3d, derive_seed(cfg.seed, "s2aug", it, k)
-                )
+                cloud_aug, index_map = augment_cloud(vox, cfg.spec3d, aug_seeds[k])
             except EmptyCloud as e:
                 skipped += 1
                 log.warning("iteration %d: slot %d skipped (%s)", it, k, e)
@@ -445,8 +447,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
                 log.warning("iteration %d: slot %d yielded %d correspondences", it, k, alive.size)
                 continue
             n_take = min(cfg.correspondences_per_pair, alive.size)
-            rng_pick = rng_for(cfg.seed, "s2pick", it, k)
-            pick = alive[rng_pick.choice(alive.size, size=n_take, replace=False)]
+            pick = alive[pick_rngs[k].choice(alive.size, size=n_take, replace=False)]
 
             table_rows = winners[id(vox)]
             if id(vox) not in tables:
@@ -471,12 +472,17 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
 
         # the frozen targets receive no gradient: their rows grad_z[n:] are dropped
         grad_sel, head_grads = head_backward(head, head_cache, grad_z[:n])
+        # the slots' gradients are summed into the first slot's arrays
         enc_grads = None
         offset = 0
         for cache, feats in zip(caches, feats_chunks):
             g = point_backward(enc, cache, grad_sel[offset : offset + feats.shape[0]])
             offset += feats.shape[0]
-            enc_grads = g if enc_grads is None else {name: enc_grads[name] + g[name] for name in g}
+            if enc_grads is None:
+                enc_grads = g
+            else:
+                for name, grad in g.items():
+                    enc_grads[name] += grad
         return out, enc_grads, head_grads, skipped
 
     report = _train(2, cfg, enc, head, audit, len(pairs), step)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PlacementFailure
+from .errors import InvalidInput, PlacementFailure
 from .geometry import (
     CameraIntrinsics,
     CorrespondenceSet,
@@ -62,18 +62,18 @@ class SceneConfig:
 
     def __post_init__(self):
         if any(e <= 0 for e in self.room_extent):
-            raise ValueError(f"room extents must be positive, got {self.room_extent}")
+            raise InvalidInput(f"room extents must be positive, got {self.room_extent}")
         if self.n_points < 100:
-            raise ValueError(f"need at least 100 points, got {self.n_points}")
+            raise InvalidInput(f"need at least 100 points, got {self.n_points}")
         if self.n_cameras < 1:
-            raise ValueError("need at least one camera")
+            raise InvalidInput("need at least one camera")
         if len(self.palette) < 4:
-            raise ValueError("class pool must have at least 4 classes (incl. wall/floor)")
+            raise InvalidInput("class pool must have at least 4 classes (incl. wall/floor)")
         if self.n_objects < 0:
-            raise ValueError("n_objects must be nonnegative")
+            raise InvalidInput("n_objects must be nonnegative")
         w, h = self.image_size
         if w < 3 or h < 3:
-            raise ValueError(f"image size too small: {self.image_size}")
+            raise InvalidInput(f"image size too small: {self.image_size}")
 
 
 @dataclass(frozen=True)

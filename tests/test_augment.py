@@ -22,7 +22,7 @@ from pixpoint.augment import (
     augment_image,
     match_positive_pixels,
 )
-from pixpoint.errors import DegenerateCrop, EmptyCloud, EmptyOverlap
+from pixpoint.errors import DegenerateCrop, EmptyCloud, EmptyOverlap, InvalidInput
 from pixpoint.geometry import Image, PointCloud
 from pixpoint.rngutil import rng_for
 
@@ -228,6 +228,11 @@ class TestMatchPositivePixels:
         pa, pb = match_positive_pixels(m, m, count=50, rng_seed=0)
         assert pa.shape[0] == 9
 
+    def test_count_below_one_raises(self):
+        m = CoordMap.identity(3, 3)
+        with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
+            match_positive_pixels(m, m, count=0, rng_seed=0)
+
 
 class TestAugmentCloud:
     def cloud(self, n=100, seed=0):
@@ -283,6 +288,11 @@ class TestAugmentCloud:
         with pytest.raises(EmptyCloud):
             # keep_prob tiny: with this seed every point drops
             augment_cloud(c, TransformSpec3D((PointDropout(1e-12),)), rng_seed=0)
+
+    def test_empty_cloud_raises(self):
+        empty = PointCloud(np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(InvalidInput, match="^cloud must be nonempty$"):
+            augment_cloud(empty, TransformSpec3D(()), rng_seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -246,6 +246,11 @@ class TestCorrespondences:
         cs = build_correspondences(cloud, Pose.identity(), intr)
         assert len(cs) == 0
 
+    def test_empty_cloud_raises(self):
+        empty = PointCloud(np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(InvalidInput, match="^cloud must be nonempty$"):
+            build_correspondences(empty, Pose.identity(), simple_camera())
+
     def test_depth_tie_breaks_to_lowest_index(self):
         intr = simple_camera()
         p = np.array([[0.01, 0.0, 1.0], [0.01, 0.0, 1.0], [0.01, 0.0, 1.0]])
@@ -337,6 +342,12 @@ class TestVoxelize:
         assert np.allclose(out.positions[0], (0.025, 0.015, 0.02))
         assert np.allclose(out.colors[0], 0.3)
         assert np.array_equal(index_map, [0, 0])
+
+    @pytest.mark.parametrize("size", [0.0, -0.05, float("nan")])
+    def test_bad_voxel_size_raises(self, size):
+        cloud = PointCloud(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(InvalidInput, match="^voxel_size must be positive"):
+            voxelize(cloud, size)
 
     def test_floor_convention_splits_at_boundary(self):
         cloud = PointCloud(np.array([[0.04, 0, 0], [0.06, 0, 0]]), np.zeros((2, 3)))

@@ -354,14 +354,16 @@ def reference_info_nce(queries, positives, negatives, cfg, exclude_columns=None,
 
 
 class TestAgainstDenseMaskReference:
-    """Index-pair exclusion, the reused workspace and the block size change
-    no bit of the losses. Gradients may differ in the last bits: the softmax
-    normalisation scales the (C, M) products, not the (C, K) block."""
+    """Index-pair exclusion, the reused workspace and the shifted GEMM match
+    the dense-mask evaluation to rounding: the logits are q / tau . n less
+    the positive's, not q . n / tau less the row maximum, and the softmax
+    normalisation scales the (C, M) products, not the (C, K) block. The
+    block size changes no bit of the losses."""
 
     def assert_matches(self, got, ref, grad_tol=1e-12):
         total, per_query, grad_q, grad_p, grad_neg, mean_neg = ref
-        assert np.array_equal(got.per_query, per_query)
-        assert got.total == total
+        np.testing.assert_allclose(got.per_query, per_query, rtol=1e-14, atol=0)
+        assert got.total == pytest.approx(total, rel=1e-14, abs=0)
         for a, b in ((got.grad_queries, grad_q), (got.grad_positives, grad_p), (got.grad_negatives, grad_neg)):
             assert np.abs(a - b).max(initial=0.0) <= grad_tol
         assert got.mean_negative_sim == pytest.approx(mean_neg, abs=1e-12, rel=0)
@@ -391,10 +393,12 @@ class TestAgainstDenseMaskReference:
         q, p, pool, excl = loss_inputs(mode)
         cfg = LossConfig(tau=0.2, negatives=pool.shape[0])
         whole = reference_info_nce(q, p, pool, cfg, excl)
+        default = info_nce(q, p, pool, cfg, exclude_columns=excl)
         monkeypatch.setattr(loss, "_CHUNK", 7)  # 40 rows: blocks of 7, last of 5
         got = info_nce(q, p, pool, cfg, exclude_columns=excl)
         self.assert_matches(got, reference_info_nce(q, p, pool, cfg, excl, chunk=7))
-        assert np.array_equal(got.per_query, whole[1])
+        assert np.array_equal(got.per_query, default.per_query)
+        assert got.total == default.total
         self.assert_matches(got, whole)
 
     @pytest.mark.parametrize("mode", SHAPES)
@@ -429,3 +433,54 @@ class TestAgainstDenseMaskReference:
         for bad in (excl[:-1], excl[:, 0], excl.astype(float), np.where(excl == 0, pool.shape[0], excl)):
             with pytest.raises(InvalidInput):
                 info_nce(q, p, pool, cfg, exclude_columns=bad)
+
+
+def angle_rows(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFarRows:
+    """Rows whose positive lies so far below the 1/tau bound on every logit
+    that shifting by the positive could overflow. Each test here fails under
+    a plain shift: every row by its positive's logit, or every row by 1/tau."""
+
+    def test_every_similarity_at_minus_one(self):
+        # shifted by 1/tau, every exponential underflows to 0
+        q = np.array([[1.0, 0.0]])
+        out = info_nce(q, -q, np.tile(-q, (3, 1)), LossConfig(tau=1e-3, negatives=3))
+        assert out.per_query[0] == pytest.approx(np.log(4.0), rel=1e-15, abs=0)
+
+    def test_negative_two_thousand_logits_above_the_positive(self):
+        # shifted by the positive, the negative's exponential is exp(2000)
+        q = np.array([[1.0, 0.0]])
+        out = info_nce(q, -q, q.copy(), LossConfig(tau=1e-3, negatives=1))
+        assert out.per_query[0] == pytest.approx(2000.0, rel=1e-12, abs=0)
+        assert out.grad_queries == pytest.approx(np.array([[2000.0, 0.0]]), rel=1e-12)
+        assert out.grad_positives == pytest.approx(np.array([[-1000.0, 0.0]]), rel=1e-12)
+        assert out.grad_negatives == pytest.approx(np.array([[1000.0, 0.0]]), rel=1e-12)
+
+    def test_block_mixing_far_and_normal_rows_matches_reference(self):
+        # pool cosines against angle 0: 1, 0.9998, 0.878, 0.362
+        pool = angle_rows(np.array([0.0, 0.02, 0.5, 1.2]))
+        q = angle_rows(np.array([0.0, 0.0, np.pi, 0.0]))
+        p = angle_rows(np.array([0.01, 2.5, np.pi - 2.1, 2.5]))
+        # rows: normal; far, a negative 18000 logits above the positive;
+        # far, every logit thousands below 1/tau; far, its two largest
+        # logits excluded, so the rest would underflow under their shift
+        excl = np.array([[-1, -1], [-1, -1], [-1, -1], [0, 1]])
+        cfg = LossConfig(tau=1e-4, negatives=4)
+        got = info_nce(q, p, pool, cfg, exclude_columns=excl)
+        total, per_query, *grads, _ = reference_info_nce(q, p, pool, cfg, excl)
+        np.testing.assert_allclose(got.per_query, per_query, rtol=1e-12, atol=0)
+        assert got.total == pytest.approx(total, rel=1e-12, abs=0)
+        for a, b in zip((got.grad_queries, got.grad_positives, got.grad_negatives), grads):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_nonnegative_at_every_temperature(self, shape):
+        q, p, pool, excl = loss_inputs(shape)
+        for tau in (1.0, 0.4, 0.07, 0.01, 0.003, 1e-3, 1e-4):
+            out = info_nce(q, p, pool, LossConfig(tau=tau, negatives=pool.shape[0]), exclude_columns=excl)
+            assert out.per_query.min() >= 0.0
+            assert np.isfinite(out.grad_queries).all() and np.isfinite(out.grad_negatives).all()

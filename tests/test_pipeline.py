@@ -58,7 +58,7 @@ from pixpoint.nn import (
     head_forward,
     knn_indices,
 )
-from pixpoint.optim import lr_schedule
+from pixpoint.optim import OptimConfig, lr_schedule
 from pixpoint.rngutil import rng_for
 from pixpoint.synthdata import SceneConfig, generate_scene
 
@@ -433,6 +433,19 @@ def test_config_rejects_counts_below_one(config, field):
         lambda: RotationZ(angle_range=(0.0, 7.0)),
         lambda: PointDropout(keep_prob=0.0),
         lambda: TransformSpec3D((HorizontalFlip(),)),
+        lambda: OptimConfig(lr0=-0.1),
+        lambda: OptimConfig(lr0=0.1, momentum=1.0),
+        lambda: OptimConfig(lr0=0.1, dampening=1.5),
+        lambda: OptimConfig(lr0=0.1, weight_decay=-1e-4),
+        lambda: OptimConfig(lr0=0.1, gamma=0.0),
+        lambda: OptimConfig(lr0=0.1, decay_every=0),
+        lambda: lr_schedule(-1, OptimConfig(lr0=0.1)),
+        lambda: SceneConfig(room_extent=(4.0, 0.0, 2.5)),
+        lambda: SceneConfig(n_points=99),
+        lambda: SceneConfig(n_cameras=0),
+        lambda: SceneConfig(palette=((0.5, 0.5, 0.5),) * 3),
+        lambda: SceneConfig(n_objects=-1),
+        lambda: SceneConfig(image_size=(2, 64)),
     ],
     ids=[
         "Stage1Config",
@@ -455,6 +468,19 @@ def test_config_rejects_counts_below_one(config, field):
         "RotationZ",
         "PointDropout",
         "TransformSpec3D",
+        "OptimConfig-lr0",
+        "OptimConfig-momentum",
+        "OptimConfig-dampening",
+        "OptimConfig-weight_decay",
+        "OptimConfig-gamma",
+        "OptimConfig-decay_every",
+        "lr_schedule",
+        "SceneConfig-room_extent",
+        "SceneConfig-n_points",
+        "SceneConfig-n_cameras",
+        "SceneConfig-palette",
+        "SceneConfig-n_objects",
+        "SceneConfig-image_size",
     ],
 )
 def test_configs_and_transforms_raise_a_pixpoint_error(make):
