@@ -1,27 +1,39 @@
 """Stochastic 2D / 3D augmentations with coordinate provenance.
 
-Every 2D geometric transform is an affine map from output pixel grid to
-source coordinates, so a chain of crops/flips composes into a single
-affine. The image is resampled (bilinear) once per contiguous geometric
-run; photometric transforms force materialization and then act on pixel
-values directly. The CoordMap returned with an augmented image maps each
-output pixel to continuous coordinates in the ORIGINAL image, which is
-what positive-pair matching consumes.
+A view's provenance is its affine. Crops, resizes and flips scale and
+shift each axis, so a chain of them is one 3x3 affine with a diagonal
+linear part; augment_image returns it in a CoordMap, from the view's
+output pixels to continuous coordinates in the ORIGINAL image. The image
+is resampled (bilinear) once per contiguous geometric run; photometric
+transforms force materialization and then act on pixel values directly.
 
 Resampling uses the endpoint-preserving convention: a crop window
 [x0, x0+cw-1] maps linearly onto output columns [0, ow-1], so sample
-coordinates never leave the source support and output values equal true
-bilinear interpolation everywhere (no border clamping).
+coordinates never leave the source support, output values equal true
+bilinear interpolation everywhere (no border clamping) and every output
+pixel maps inside the original image.
+
+match_positive_pixels pairs the pixels of two views whose original
+coordinates lie within 0.5 px, as PixPro does, in closed form: each axis
+maps A's coordinates through B's inverse affine to the few B pixels
+within 0.5 px, and a column pair and a row pair match when their squared
+distances sum to at most 0.25. Matches are listed by (quadrant, A pixel,
+B pixel), the quadrant being which of the unit cells floor(u - 0.5 + h)
+x floor(v - 0.5 + h'), h and h' in {0, 1}, holds B's point. That is the
+order in which hashing both views into unit cells finds them
+(tests/test_augment.py keeps that matcher), so a seed samples the same
+pairs under either method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateCrop, EmptyCloud, EmptyOverlap, InvalidInput
-from .geometry import Image, PointCloud
+from .geometry import Image, PointCloud, _readonly
 from .rngutil import rng_for
 
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -45,9 +57,8 @@ class RandomResizedCrop:
         lo, hi = self.scale_range
         if not (0.0 < lo <= hi <= 1.0):
             raise InvalidInput(f"scale_range must be within (0,1], got {self.scale_range}")
-        ow, oh = self.out_size
-        if not (ow > 0 and oh > 0):
-            raise InvalidInput(f"out_size must be positive, got {self.out_size}")
+        if not all(isinstance(n, (int, np.integer)) and n > 0 for n in self.out_size):
+            raise InvalidInput(f"out_size must be positive ints, got {self.out_size}")
 
 
 @dataclass(frozen=True)
@@ -138,36 +149,41 @@ class TransformSpec3D:
 
 @dataclass(frozen=True)
 class CoordMap:
-    """Per output pixel: continuous source coordinates in the original image."""
+    """A view's provenance: the affine sending its output pixel (x, y, 1)
+    to (u, v, 1) in the original image, and its size. The linear part is
+    diagonal, which match_positive_pixels relies on."""
 
-    src: np.ndarray  # (H, W, 2) float64, [..., 0] = u (column), [..., 1] = v (row)
-    valid: np.ndarray  # (H, W) bool
+    affine: np.ndarray  # 3x3 float64
+    width: int
+    height: int
 
     def __post_init__(self):
-        if self.src.ndim != 3 or self.src.shape[2] != 2 or self.valid.shape != self.src.shape[:2]:
-            raise ValueError("inconsistent CoordMap shapes")
+        a = _readonly(self.affine)
+        if a.shape != (3, 3) or not np.all(np.isfinite(a)):
+            raise InvalidInput(f"affine must be a finite 3x3 matrix, got shape {a.shape}")
+        if not np.array_equal(a[2], [0.0, 0.0, 1.0]):
+            raise InvalidInput(f"affine's last row must be [0, 0, 1], got {a[2].tolist()}")
+        if a[0, 1] != 0.0 or a[1, 0] != 0.0:
+            raise InvalidInput("affine's off-diagonal linear terms must be 0")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
+            raise InvalidInput(f"size must be ints >= 1, got {self.width!r} x {self.height!r}")
+        object.__setattr__(self, "affine", a)
 
     @staticmethod
     def identity(width: int, height: int) -> "CoordMap":
-        xs, ys = _output_grid(width, height)
-        return CoordMap(np.stack([xs, ys], axis=-1), np.ones((height, width), dtype=bool))
+        return CoordMap(np.eye(3), width, height)
 
-    @property
-    def height(self):
-        return self.src.shape[0]
-
-    @property
-    def width(self):
-        return self.src.shape[1]
-
-
-def _output_grid(width, height):
-    xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    return xs, ys
+    def source_axis(self, axis: int) -> np.ndarray:
+        """Original coordinate of each output column (axis 0: u) or row
+        (axis 1: v): t00 * x + t02, which is t00 * x + t01 * y + t02 to the
+        bit, as the off-diagonal term is 0."""
+        n = self.width if axis == 0 else self.height
+        return self.affine[axis, axis] * np.arange(n, dtype=np.float64) + self.affine[axis, 2]
 
 
 def bilinear_sample(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample H x W x C pixels at continuous (xs, ys); callers keep coords in range."""
+    """Sample H x W x C pixels at continuous (xs, ys), which broadcast
+    together; callers keep coords in range."""
     h, w = pixels.shape[:2]
     x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
     y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
@@ -227,10 +243,8 @@ def augment_image(img: Image, spec: TransformSpec2D, rng_seed: int):
         nonlocal base, total, affine, pristine
         if pristine and size == (base.shape[1], base.shape[0]):
             return
-        xs, ys = _output_grid(*size)
-        sx = affine[0, 0] * xs + affine[0, 1] * ys + affine[0, 2]
-        sy = affine[1, 0] * xs + affine[1, 1] * ys + affine[1, 2]
-        base = bilinear_sample(base, sx, sy)
+        step = CoordMap(affine, *size)
+        base = bilinear_sample(base, step.source_axis(0)[None, :], step.source_axis(1)[:, None])
         total = total @ affine
         affine = np.eye(3)
         pristine = True
@@ -266,35 +280,41 @@ def augment_image(img: Image, spec: TransformSpec2D, rng_seed: int):
     # skips the resample when it would be the identity; afterwards the
     # output grid is `base` and `total` maps it to the original
     materialize()
-    out_pixels = np.clip(base, 0.0, 1.0)
-
-    xs, ys = _output_grid(*size)
-    ox = total[0, 0] * xs + total[0, 1] * ys + total[0, 2]
-    oy = total[1, 0] * xs + total[1, 1] * ys + total[1, 2]
-    eps = 1e-9
-    valid = (
-        (ox >= -eps)
-        & (ox <= img.width - 1 + eps)
-        & (oy >= -eps)
-        & (oy <= img.height - 1 + eps)
-    )
-    return Image(out_pixels), CoordMap(np.stack([ox, oy], axis=-1), valid)
+    return Image(np.clip(base, 0.0, 1.0)), CoordMap(total, *size)
 
 
 # ── positive-pixel matching ──────────────────────────────────────────────
 
 MATCH_RADIUS_PX = 0.5
+_CELL_OFFSET = 16.0  # keeps cells of coordinates near the image border positive
 
 
-def _expand_ranges(left, right):
-    counts = right - left
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    rows = np.repeat(np.arange(left.shape[0]), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    cols = np.arange(total) - starts + np.repeat(left, counts)
-    return rows, cols
+def _axis_pairs(map_a: CoordMap, map_b: CoordMap, axis: int):
+    """The pairs of A and B columns (axis 0) or rows (axis 1) whose source
+    coordinates lie within MATCH_RADIUS_PX: one (a, b, d2) per half h in
+    {0, 1}, holding the pairs whose B coordinate is in the unit cell
+    floor(A's - 0.5 + h), ordered by a, then b, with d2 their squared
+    distance along the axis."""
+    ua, ub = map_a.source_axis(axis), map_b.source_axis(axis)
+    scale, shift = map_b.affine[axis, axis], map_b.affine[axis, 2]
+    # the B pixels within r of a lie in a window of 2r / |scale| + 1 around
+    # its preimage: take a spare on each side for rounding, kept inside the
+    # axis. A scale of 0 (an axis of one pixel, or a crop one pixel wide)
+    # sends every pixel to one point, so all are candidates.
+    first, span = np.zeros(ua.size), ub.size
+    if scale != 0.0:
+        reach = MATCH_RADIUS_PX / abs(scale)
+        span = int(min(ub.size, 2 * reach + 3))
+        first = np.clip(np.ceil((ua - shift) / scale - reach) - 1, 0, ub.size - span)
+    cand = first.astype(np.int64)[:, None] + np.arange(span)
+    d2 = (ua[:, None] - ub[cand]) ** 2
+    near = d2 <= MATCH_RADIUS_PX**2
+    cell_b = np.floor(ub + _CELL_OFFSET)[cand]
+    pairs = []
+    for h in (-0.5, 0.5):
+        a, k = np.nonzero(near & (cell_b == np.floor(ua + (h + _CELL_OFFSET))[:, None]))
+        pairs.append((a, cand[a, k], d2[a, k]))
+    return pairs
 
 
 def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed: int):
@@ -302,56 +322,32 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed
 
     Returns (pixels_a, pixels_b): two (n, 2) int arrays of (column, row)
     output coordinates with n = min(count, number of matches), sampled
-    uniformly without replacement. Raises EmptyOverlap when no pair of
-    valid pixels matches.
+    uniformly without replacement. Raises EmptyOverlap when no pixel of
+    B lies within 0.5 px of a pixel of A.
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
-    av = map_a.valid.ravel()
-    bv = map_b.valid.ravel()
-    a_src = map_a.src.reshape(-1, 2)[av]
-    b_src = map_b.src.reshape(-1, 2)[bv]
-    a_lin = np.flatnonzero(av)
-    b_lin = np.flatnonzero(bv)
-    if a_src.shape[0] == 0 or b_src.shape[0] == 0:
-        raise EmptyOverlap("no valid pixels to match")
-
-    # each source point's 0.5-px neighbours lie in a 2x2 block of unit cells
-    off = 16.0  # guard against negative cells near the image border
-    b_cell = np.floor(b_src + off).astype(np.int64)
-    b_key = b_cell[:, 0] << 20 | b_cell[:, 1]
-    b_order = np.argsort(b_key, kind="stable")
-    b_key_sorted = b_key[b_order]
-
-    rows_all = []
-    cols_all = []
-    for du in (-0.5, 0.5):
-        for dv in (-0.5, 0.5):
-            cell = np.floor(a_src + [du + off, dv + off]).astype(np.int64)
-            key = cell[:, 0] << 20 | cell[:, 1]
-            left = np.searchsorted(b_key_sorted, key, side="left")
-            right = np.searchsorted(b_key_sorted, key, side="right")
-            r, c = _expand_ranges(left, right)
-            rows_all.append(r)
-            cols_all.append(c)
-    ai = np.concatenate(rows_all)
-    bi = b_order[np.concatenate(cols_all)]
-    if ai.size:
-        d2 = ((a_src[ai] - b_src[bi]) ** 2).sum(axis=1)
-        keep = d2 <= MATCH_RADIUS_PX**2
-        ai, bi = ai[keep], bi[keep]
-    if ai.size == 0:
+    # a match is a column pair and a row pair whose squared distances sum
+    # to at most r^2; q numbers the quadrant (column half, row half)
+    columns, rows = _axis_pairs(map_a, map_b, 0), _axis_pairs(map_a, map_b, 1)
+    found = []
+    for q, ((xa, xb, dx2), (ya, yb, dy2)) in enumerate(product(columns, rows)):
+        # ordered by (A row, B row, A column, B column)
+        iy, ix = np.nonzero(dx2[None, :] + dy2[:, None] <= MATCH_RADIUS_PX**2)
+        a_key = (q * map_a.height + ya[iy]) * map_a.width + xa[ix]
+        found.append((a_key, xa[ix], ya[iy], xb[ix], yb[iy]))
+    a_key, *pixels = (np.concatenate(c) for c in zip(*found))
+    if a_key.size == 0:
         raise EmptyOverlap("no source coordinates coincide within 0.5 px")
 
-    rng = rng_for(rng_seed, "match")
-    if ai.size > count:
-        pick = rng.choice(ai.size, size=count, replace=False)
-        ai, bi = ai[pick], bi[pick]
-    a_flat = a_lin[ai]
-    b_flat = b_lin[bi]
-    pixels_a = np.stack([a_flat % map_a.width, a_flat // map_a.width], axis=1)
-    pixels_b = np.stack([b_flat % map_b.width, b_flat // map_b.width], axis=1)
-    return pixels_a, pixels_b
+    # by (quadrant, A pixel, B pixel): the sort is stable, so each A
+    # pixel's B pixels keep their (row, column) order; the module
+    # docstring says why this order
+    order = np.argsort(a_key, kind="stable")
+    if order.size > count:
+        order = order[rng_for(rng_seed, "match").choice(order.size, size=count, replace=False)]
+    xa, ya, xb, yb = (c[order] for c in pixels)
+    return np.stack([xa, ya], axis=1), np.stack([xb, yb], axis=1)
 
 
 # ── 3D augmentation ──────────────────────────────────────────────────────

@@ -11,10 +11,12 @@ class PixpointError(Exception):
 
 
 class InvalidInput(PixpointError, ValueError):
-    """A data class (image, cloud, pose, camera, matches, pair), a transform
-    descriptor, a stage, loss, optimiser or scene config, the learning-rate
-    schedule, the loss, a stage driver or a data function (voxelize,
-    build_correspondences, augment_cloud, match_positive_pixels) got bad
+    """A data class (image, cloud, pose, camera, coordinate map, matches,
+    pair, network parameters), a transform descriptor, a stage, loss,
+    optimiser or scene config, the learning-rate schedule, the loss, a
+    stage driver, a data function (voxelize, build_correspondences,
+    augment_cloud, match_positive_pixels) or a network function (the conv
+    encoder, the head, the kNN searches, the point encoder) got bad
     values."""
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvalidInput
 from .params import EncoderParams2D
 
 _BLOCK = 1 << 15  # float64 elements in one block of output rows, 256 KB
@@ -39,9 +40,9 @@ def _positions(shape, at) -> tuple:
     if at is None:
         return slice(w + 3, b * (h + 2) * (w + 2) - w - 3), shifts
     if at.ndim != 1 or at.size == 0:
-        raise ValueError(f"at must be a nonempty 1-D array, got shape {at.shape}")
+        raise InvalidInput(f"at must be a nonempty 1-D array, got shape {at.shape}")
     if at[0] < 0 or at[-1] >= b * h * w or np.any(at[1:] <= at[:-1]):
-        raise ValueError(f"at must be sorted, unique and within [0, {b * h * w})")
+        raise InvalidInput(f"at must be sorted, unique and within [0, {b * h * w})")
     bi, rest = np.divmod(at, h * w)
     return (bi * (h + 2) + rest // w + 1) * (w + 2) + rest % w + 1, shifts
 
@@ -121,9 +122,9 @@ def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
     the zero-bordered output, cache); with `at`, features are (len(at), D),
     the rows at those positions."""
     if images.ndim != 4 or images.shape[3] != 3:
-        raise ValueError(f"images must be (B,H,W,3), got {images.shape}")
+        raise InvalidInput(f"images must be (B,H,W,3), got {images.shape}")
     if images.shape[1] < 3 or images.shape[2] < 3:
-        raise ValueError(f"image dims must be at least 3x3, got {images.shape[1:3]}")
+        raise InvalidInput(f"image dims must be at least 3x3, got {images.shape[1:3]}")
     xp = np.pad(images, _PAD)
     a1 = conv3x3_forward(xp, params.conv1_w, params.conv1_b)
     np.maximum(a1, 0.0, out=a1)

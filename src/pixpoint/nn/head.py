@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateEmbedding
+from ..errors import DegenerateEmbedding, InvalidInput
 from .params import HeadParams
 
 NORM_EPS = 1e-8  # normalization floor
@@ -18,7 +18,7 @@ NORM_ABORT = 1e-12  # below this the row is considered corrupt
 def head_forward(head: HeadParams, features: np.ndarray):
     """features (N, D) -> (embeddings (N, M) unit rows, cache)."""
     if not np.all(np.isfinite(features)):
-        raise ValueError("features contain non-finite values")
+        raise InvalidInput("features contain non-finite values")
     y = features @ head.weight.T + head.bias
     norms = np.linalg.norm(y, axis=1)
     if norms.size and norms.min() < NORM_ABORT:

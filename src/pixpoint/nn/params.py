@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..errors import InvalidInput
 from ..rngutil import rng_for
 
 DEFAULT_FEATURE_DIM = 16  # per-pixel / per-point feature width D
@@ -40,7 +41,7 @@ class _TensorStruct:
         expected = {f.name for f in fields(cls)}
         unknown = set(tensors) - expected
         if unknown:
-            raise ValueError(f"unexpected tensors {sorted(unknown)} for {cls.__name__}")
+            raise InvalidInput(f"unexpected tensors {sorted(unknown)} for {cls.__name__}")
         return cls(**tensors, **extra)
 
 
@@ -69,9 +70,9 @@ class EncoderParams2D(_TensorStruct):
         for name, want in shapes.items():
             got = getattr(self, name)
             if got.shape != want:
-                raise ValueError(f"{name} must have shape {want}, got {got.shape}")
+                raise InvalidInput(f"{name} must have shape {want}, got {got.shape}")
             if not np.all(np.isfinite(got)):
-                raise ValueError(f"{name} contains non-finite values")
+                raise InvalidInput(f"{name} contains non-finite values")
 
     @property
     def feature_dim(self) -> int:
@@ -120,11 +121,11 @@ class EncoderParams3D(_TensorStruct):
         for name, want in shapes.items():
             got = getattr(self, name)
             if got.shape != want:
-                raise ValueError(f"{name} must have shape {want}, got {got.shape}")
+                raise InvalidInput(f"{name} must have shape {want}, got {got.shape}")
             if not np.all(np.isfinite(got)):
-                raise ValueError(f"{name} contains non-finite values")
+                raise InvalidInput(f"{name} contains non-finite values")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise InvalidInput(f"k must be >= 1, got {self.k}")
 
     @property
     def feature_dim(self) -> int:
@@ -157,12 +158,12 @@ class HeadParams(_TensorStruct):
 
     def __post_init__(self):
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ValueError(
+            raise InvalidInput(
                 f"inconsistent head shapes {self.weight.shape}, {self.bias.shape}"
             )
         m, d = self.weight.shape
         if m > d:
-            raise ValueError(f"embedding width {m} exceeds feature width {d}")
+            raise InvalidInput(f"embedding width {m} exceeds feature width {d}")
 
     @property
     def embed_dim(self) -> int:

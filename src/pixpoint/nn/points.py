@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvalidInput
 from ..geometry import PointCloud
 from .params import EncoderParams3D
 
@@ -91,11 +92,11 @@ def knn_indices(positions: np.ndarray, k: int, by_distance: bool = False, rows=N
 
 def _check_search(positions: np.ndarray, k: int) -> None:
     if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError(f"positions must be (N, 3), got {positions.shape}")
+        raise InvalidInput(f"positions must be (N, 3), got {positions.shape}")
     if not np.isfinite(positions).all():
-        raise ValueError("positions must be finite")
+        raise InvalidInput("positions must be finite")
     if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        raise InvalidInput(f"k must be an integer >= 1, got {k!r}")
 
 
 def _grid_search(positions, k_eff: int, by_distance: bool, slot, nb) -> np.ndarray:
@@ -214,7 +215,7 @@ def knn_from_table(
     points = np.asarray(points)
     at = np.minimum(np.searchsorted(table_rows, points), table_rows.size - 1)
     if (table_rows[at] != points).any() or (index_map[points] < 0).any():
-        raise ValueError("points must be rows of the table that survive")
+        raise InvalidInput("points must be rows of the table that survive")
     survivors = np.flatnonzero(index_map >= 0)
     k_eff = min(k, survivors.size)
     cand = index_map[table[at]]
@@ -227,9 +228,9 @@ def knn_from_table(
 
 def _check_rows(rows: np.ndarray, n: int) -> None:
     if rows.ndim != 1 or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
-        raise ValueError(f"rows must be a nonempty 1-D integer array, got {rows.dtype} {rows.shape}")
+        raise InvalidInput(f"rows must be a nonempty 1-D integer array, got {rows.dtype} {rows.shape}")
     if rows.min() < 0 or rows.max() >= n or np.unique(rows).size != rows.size:
-        raise ValueError(f"rows must be unique and within [0, {n})")
+        raise InvalidInput(f"rows must be unique and within [0, {n})")
 
 
 def point_forward(
@@ -245,7 +246,7 @@ def point_forward(
     rows and their neighbours."""
     _check_rows(rows, positions.shape[0])
     if nb.ndim != 2 or nb.shape[0] != rows.size:
-        raise ValueError(f"nb must have one row per point of rows, got {nb.shape}")
+        raise InvalidInput(f"nb must have one row per point of rows, got {nb.shape}")
     needed = np.zeros(positions.shape[0], dtype=bool)
     needed[rows] = True
     needed[nb] = True
@@ -316,7 +317,7 @@ def point_backward(params: EncoderParams3D, cache: dict, grad_out: np.ndarray) -
 def encode_points(params: EncoderParams3D, cloud: PointCloud) -> np.ndarray:
     """Per-point features (N, D); permuting input points permutes rows."""
     if len(cloud) < 1:
-        raise ValueError("cloud must contain at least one point")
+        raise InvalidInput("cloud must contain at least one point")
     nb = knn_indices(cloud.positions, params.k)
     out, _ = point_forward(params, cloud.positions, cloud.colors, nb, np.arange(len(cloud)))
     return out

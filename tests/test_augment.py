@@ -2,7 +2,13 @@
 
 Affine expectations are hand-composed in the tests from the same sampled
 parameters; bilinear checks use an independent loop implementation.
+`dense_map` expands a CoordMap's affine into a full grid of original
+coordinates, and `hash_match` matches two such grids by hashing them into
+unit cells: the matcher match_positive_pixels replaced, kept as its
+reference for the match set and its order.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,21 +51,101 @@ def bilinear_oracle(pixels, u, v):
     return top * (1 - fy) + bot * fy
 
 
+def dense_map(cmap, width, height):
+    """A CoordMap as a dense grid: src (H, W, 2) holds each output pixel's
+    original (u, v), computed from the affine at every pixel; valid marks
+    the pixels within 1e-9 of a width x height original image."""
+    xs, ys = np.meshgrid(np.arange(cmap.width, dtype=np.float64), np.arange(cmap.height, dtype=np.float64))
+    t = cmap.affine
+    ox = t[0, 0] * xs + t[0, 1] * ys + t[0, 2]
+    oy = t[1, 0] * xs + t[1, 1] * ys + t[1, 2]
+    eps = 1e-9
+    valid = (ox >= -eps) & (ox <= width - 1 + eps) & (oy >= -eps) & (oy <= height - 1 + eps)
+    return SimpleNamespace(src=np.stack([ox, oy], axis=-1), valid=valid, width=cmap.width)
+
+
+def dense_src(cmap):
+    return dense_map(cmap, cmap.width, cmap.height).src
+
+
+def _expand_ranges(left, right):
+    counts = right - left
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    rows = np.repeat(np.arange(left.shape[0]), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.arange(total) - starts + np.repeat(left, counts)
+    return rows, cols
+
+
+def hash_match(map_a, map_b, count, rng_seed):
+    """match_positive_pixels on two dense_maps, by a cell hash: every valid
+    B pixel is keyed by its unit cell, and each valid A pixel looks up the
+    four cells around its source point, quadrant by quadrant."""
+    av = map_a.valid.ravel()
+    bv = map_b.valid.ravel()
+    a_src = map_a.src.reshape(-1, 2)[av]
+    b_src = map_b.src.reshape(-1, 2)[bv]
+    a_lin = np.flatnonzero(av)
+    b_lin = np.flatnonzero(bv)
+    if a_src.shape[0] == 0 or b_src.shape[0] == 0:
+        raise EmptyOverlap("no valid pixels to match")
+
+    # each source point's 0.5-px neighbours lie in a 2x2 block of unit cells
+    off = 16.0  # guard against negative cells near the image border
+    b_cell = np.floor(b_src + off).astype(np.int64)
+    b_key = b_cell[:, 0] << 20 | b_cell[:, 1]
+    b_order = np.argsort(b_key, kind="stable")
+    b_key_sorted = b_key[b_order]
+
+    rows_all = []
+    cols_all = []
+    for du in (-0.5, 0.5):
+        for dv in (-0.5, 0.5):
+            cell = np.floor(a_src + [du + off, dv + off]).astype(np.int64)
+            key = cell[:, 0] << 20 | cell[:, 1]
+            left = np.searchsorted(b_key_sorted, key, side="left")
+            right = np.searchsorted(b_key_sorted, key, side="right")
+            r, c = _expand_ranges(left, right)
+            rows_all.append(r)
+            cols_all.append(c)
+    ai = np.concatenate(rows_all)
+    bi = b_order[np.concatenate(cols_all)]
+    if ai.size:
+        d2 = ((a_src[ai] - b_src[bi]) ** 2).sum(axis=1)
+        keep = d2 <= augment.MATCH_RADIUS_PX**2
+        ai, bi = ai[keep], bi[keep]
+    if ai.size == 0:
+        raise EmptyOverlap("no source coordinates coincide within 0.5 px")
+
+    rng = rng_for(rng_seed, "match")
+    if ai.size > count:
+        pick = rng.choice(ai.size, size=count, replace=False)
+        ai, bi = ai[pick], bi[pick]
+    a_flat = a_lin[ai]
+    b_flat = b_lin[bi]
+    pixels_a = np.stack([a_flat % map_a.width, a_flat // map_a.width], axis=1)
+    pixels_b = np.stack([b_flat % map_b.width, b_flat // map_b.width], axis=1)
+    return pixels_a, pixels_b
+
+
 class TestAugmentImage:
     def test_empty_spec_is_identity(self):
         img = checker_image()
         out, cmap = augment_image(img, TransformSpec2D(()), rng_seed=0)
         assert np.array_equal(out.pixels, img.pixels)
         ident = CoordMap.identity(img.width, img.height)
-        assert np.array_equal(cmap.src, ident.src)
-        assert cmap.valid.all()
+        assert np.array_equal(dense_src(cmap), dense_src(ident))
+        assert dense_map(cmap, img.width, img.height).valid.all()
 
     def test_forced_flip_mirror_formula(self):
         img = checker_image(w=9, h=5)
         out, cmap = augment_image(img, TransformSpec2D((HorizontalFlip(p=1.0),)), rng_seed=3)
         xs, ys = np.meshgrid(np.arange(9.0), np.arange(5.0))
-        assert np.allclose(cmap.src[..., 0], 8.0 - xs)
-        assert np.allclose(cmap.src[..., 1], ys)
+        src = dense_src(cmap)
+        assert np.allclose(src[..., 0], 8.0 - xs)
+        assert np.allclose(src[..., 1], ys)
         assert np.array_equal(out.pixels, img.pixels[:, ::-1])
 
     def test_crop_then_flip_matches_hand_composed_affines(self):
@@ -77,13 +163,14 @@ class TestAugmentImage:
         ch = int(np.floor(np.sqrt(scale) * 20 + 0.5))
         x0 = int(rng.integers(0, 20 - cw + 1))
         y0 = int(rng.integers(0, 20 - ch + 1))
+        src = dense_src(cmap)
         worst = 0.0
         for y in range(20):
             for x in range(20):
                 xf = 19.0 - x  # flip first (outermost op maps output -> crop output)
                 su = x0 + xf * (cw - 1) / 19.0
                 sv = y0 + y * (ch - 1) / 19.0
-                worst = max(worst, abs(cmap.src[y, x, 0] - su), abs(cmap.src[y, x, 1] - sv))
+                worst = max(worst, abs(src[y, x, 0] - su), abs(src[y, x, 1] - sv))
         assert worst < 1e-6
 
     def test_geometric_color_consistency(self):
@@ -97,9 +184,10 @@ class TestAugmentImage:
             )
         )
         out, cmap = augment_image(img, spec, rng_seed=9)
+        src = dense_src(cmap)
         for y in range(out.height):
             for x in range(out.width):
-                u, v = cmap.src[y, x]
+                u, v = src[y, x]
                 expect = bilinear_oracle(img.pixels, u, v)
                 assert np.allclose(out.pixels[y, x], expect, atol=1e-6)
 
@@ -116,7 +204,7 @@ class TestAugmentImage:
         out1, map1 = augment_image(img, spec, rng_seed=77)
         out2, map2 = augment_image(img, spec, rng_seed=77)
         assert np.array_equal(out1.pixels, out2.pixels)
-        assert np.array_equal(map1.src, map2.src)
+        assert np.array_equal(dense_src(map1), dense_src(map2))
         out3, _ = augment_image(img, spec, rng_seed=78)
         assert not np.array_equal(out1.pixels, out3.pixels)
 
@@ -126,7 +214,7 @@ class TestAugmentImage:
         flip = HorizontalFlip(p=1.0)
         _, map_cf = augment_image(img, TransformSpec2D((crop, flip)), rng_seed=123)
         _, map_fc = augment_image(img, TransformSpec2D((flip, crop)), rng_seed=123)
-        assert not np.allclose(map_cf.src, map_fc.src)
+        assert not np.allclose(dense_src(map_cf), dense_src(map_fc))
 
     def test_degenerate_crop_raises(self):
         img = checker_image(w=4, h=4)
@@ -139,11 +227,17 @@ class TestAugmentImage:
         spec = TransformSpec2D((ColorJitter((0.5, 1.5), None, None), Grayscale(1.0)))
         out, cmap = augment_image(img, spec, rng_seed=1)
         ident = CoordMap.identity(img.width, img.height)
-        assert np.array_equal(cmap.src, ident.src)
+        assert np.array_equal(dense_src(cmap), dense_src(ident))
         # grayscale forced: equal channels
         assert np.allclose(out.pixels[..., 0], out.pixels[..., 1])
         assert np.allclose(out.pixels[..., 1], out.pixels[..., 2])
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+@pytest.mark.parametrize("out_size", [(8.5, 8), (8.0, 8), (0, 8), (8, -1)])
+def test_crop_out_size_must_be_positive_ints(out_size):
+    with pytest.raises(InvalidInput, match="out_size"):
+        RandomResizedCrop((0.5, 1.0), out_size)
 
 
 class TestIdentityResampleSkipped:
@@ -185,8 +279,9 @@ class TestIdentityResampleSkipped:
             assert len(calls) == expected_calls
             ref, ref_map = self.always_resampled(img, ops, seed, (out.width, out.height))
             assert np.array_equal(out.pixels, ref.pixels)
-            assert np.array_equal(cmap.src, ref_map.src)
-            assert np.array_equal(cmap.valid, ref_map.valid)
+            dense, ref_dense = (dense_map(m, img.width, img.height) for m in (cmap, ref_map))
+            assert np.array_equal(dense.src, ref_dense.src)
+            assert np.array_equal(dense.valid, ref_dense.valid)
 
 
 class TestMatchPositivePixels:
@@ -198,7 +293,7 @@ class TestMatchPositivePixels:
 
     def test_zero_overlap_raises(self):
         a = CoordMap.identity(8, 8)
-        shifted = CoordMap(a.src + 100.0, a.valid.copy())
+        shifted = CoordMap(a.affine + [[0.0, 0.0, 100.0], [0.0, 0.0, 100.0], [0.0, 0.0, 0.0]], 8, 8)
         with pytest.raises(EmptyOverlap):
             match_positive_pixels(a, shifted, count=4, rng_seed=0)
 
@@ -207,6 +302,7 @@ class TestMatchPositivePixels:
         spec = TransformSpec2D((RandomResizedCrop((0.5, 0.9), (14, 14)), HorizontalFlip(0.5)))
         _, map_a = augment_image(img, spec, rng_seed=31)
         _, map_b = augment_image(img, spec, rng_seed=32)
+        src_a, src_b = dense_src(map_a), dense_src(map_b)
 
         # brute force: every (a, b) output-pixel pair within 0.5 px
         expect = set()
@@ -214,7 +310,7 @@ class TestMatchPositivePixels:
             for ax in range(14):
                 for by in range(14):
                     for bx in range(14):
-                        d = np.linalg.norm(map_a.src[ay, ax] - map_b.src[by, bx])
+                        d = np.linalg.norm(src_a[ay, ax] - src_b[by, bx])
                         if d <= 0.5:
                             expect.add((ax, ay, bx, by))
         assert expect, "fixture should overlap"
@@ -232,6 +328,128 @@ class TestMatchPositivePixels:
         m = CoordMap.identity(3, 3)
         with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
             match_positive_pixels(m, m, count=0, rng_seed=0)
+
+
+def _chain(size):
+    return (
+        RandomResizedCrop((0.05, 1.0), (40, 36)),
+        HorizontalFlip(0.5),
+        RandomResizedCrop((0.05, 1.0), size),
+        HorizontalFlip(0.5),
+    )
+
+
+# crop/flip chains of a 64 x 48 image down to crop scale 0.05, where B's
+# window per axis is wider than 2 pixels, to 1-pixel axes (scale 0) and
+# to 5 columns read from a window one pixel wide (scale 0 over 5 pixels)
+CHAINED_SPECS = {f"{w}x{h}": TransformSpec2D(_chain((w, h))) for w, h in [(64, 64), (32, 20), (13, 9), (1, 1), (1, 7)]}
+CHAINED_SPECS["5x5-from-1-wide"] = TransformSpec2D(_chain((2, 9))[:3] + (RandomResizedCrop((0.2, 0.2), (5, 5)),))
+
+
+def assert_same_matches(map_a, map_b, image_size, count, seed):
+    """match_positive_pixels equals hash_match, order included, or both
+    raise EmptyOverlap; returns whether they matched anything."""
+    try:
+        want = hash_match(dense_map(map_a, *image_size), dense_map(map_b, *image_size), count, seed)
+    except EmptyOverlap:
+        with pytest.raises(EmptyOverlap):
+            match_positive_pixels(map_a, map_b, count, seed)
+        return False
+    got = match_positive_pixels(map_a, map_b, count, seed)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return True
+
+
+class TestAgainstHashMatcher:
+    """The closed form finds the cell hash's matches in the cell hash's
+    order, so a seed samples the same pairs."""
+
+    def test_default_spec_pairs(self):
+        img = checker_image(w=64, h=64, seed=14)
+        spec = pipeline.default_spec_2d()
+        for seed in range(120):
+            _, map_a = augment_image(img, spec, 2 * seed)
+            _, map_b = augment_image(img, spec, 2 * seed + 1)
+            for count in (512, 10**6):
+                assert assert_same_matches(map_a, map_b, (64, 64), count, seed)
+
+    @pytest.mark.parametrize("name_a", sorted(CHAINED_SPECS))
+    def test_chained_crop_flip_specs(self, name_a):
+        img = checker_image(w=64, h=48, seed=15)
+        matched = wide = 0
+        for name_b, spec_b in sorted(CHAINED_SPECS.items()):
+            for seed in range(20):
+                _, map_a = augment_image(img, CHAINED_SPECS[name_a], 2 * seed)
+                _, map_b = augment_image(img, spec_b, 2 * seed + 1)
+                for count in (50, 10**6):
+                    hit = assert_same_matches(map_a, map_b, (64, 48), count, seed)
+                matched += hit
+                wide += hit and min(abs(map_b.affine[0, 0]), abs(map_b.affine[1, 1])) < 0.5
+        assert matched > 0 and wide > 0
+
+    @pytest.mark.parametrize("scale", [5 / 6, 7 / 6, 11 / 10])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_pairs_exactly_half_a_pixel_apart(self, scale, flip):
+        """B's pixels at x * scale (or mirrored) fall exactly 0.5 px from
+        integer source points, where a window computed from the rounded
+        preimage may start one pixel late or end one pixel early."""
+        sign, shift = (-1.0, 39 * scale) if flip else (1.0, 0.0)
+        axis = [[sign * scale, 0.0, shift], [0.0, scale, 0.0], [0.0, 0.0, 1.0]]
+        map_b = CoordMap(axis, 40, 30)
+        map_a = CoordMap.identity(34, 26)
+        assert assert_same_matches(map_a, map_b, (48, 48), 10**6, 0)
+        assert assert_same_matches(map_b, map_a, (48, 48), 10**6, 0)
+
+    def test_disjoint_views_raise_on_both(self):
+        left = CoordMap(np.diag([0.5, 0.5, 1.0]), 16, 16)  # original [0, 7.5] x [0, 7.5]
+        right = CoordMap([[0.5, 0.0, 20.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]], 16, 16)
+        assert not assert_same_matches(left, right, (32, 32), 10, 0)
+        assert not assert_same_matches(right, left, (32, 32), 10, 0)
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED_SPECS) + ["default"])
+def test_views_map_into_the_original(name):
+    """The four corners of every view, hence all its pixels, map into the
+    original image (within the 1e-9 the dense valid grid allowed), which is
+    why a CoordMap needs no validity mask."""
+    img = checker_image(w=64, h=48, seed=16)
+    spec = CHAINED_SPECS.get(name, pipeline.default_spec_2d())
+    for seed in range(40):
+        _, cmap = augment_image(img, spec, seed)
+        w, h = cmap.width - 1, cmap.height - 1
+        u, v, _ = cmap.affine @ np.array([[0, w, 0, w], [0, 0, h, h], [1, 1, 1, 1]], dtype=np.float64)
+        assert u.min() >= -1e-9 and u.max() <= 63 + 1e-9
+        assert v.min() >= -1e-9 and v.max() <= 47 + 1e-9
+
+
+class TestCoordMap:
+    BAD = {
+        "shape": (np.eye(2), 4, 4, "finite 3x3"),
+        "nan": (np.diag([1.0, np.nan, 1.0]), 4, 4, "finite 3x3"),
+        "inf": ([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 4, 4, "finite 3x3"),
+        "last-row": (np.diag([1.0, 1.0, 2.0]), 4, 4, "last row"),
+        "projective": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.1, 0.0, 1.0]], 4, 4, "last row"),
+        "rotation": ([[0.0, -1.0, 3.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 4, 4, "off-diagonal"),
+        "shear": ([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], 4, 4, "off-diagonal"),
+        "width-0": (np.eye(3), 0, 4, "size"),
+        "height-0": (np.eye(3), 4, 0, "size"),
+        "width-float": (np.eye(3), 4.0, 4, "size"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_rejects_bad_maps(self, name):
+        affine, width, height, match = self.BAD[name]
+        with pytest.raises(InvalidInput, match=match):
+            CoordMap(affine, width, height)
+
+    def test_holds_a_read_only_copy(self):
+        affine = np.diag([2.0, -1.0, 1.0])
+        cmap = CoordMap(affine, np.int64(3), 2)
+        affine[0, 0] = 5.0
+        assert cmap.affine[0, 0] == 2.0 and not cmap.affine.flags.writeable
+        assert np.array_equal(cmap.source_axis(0), [0.0, 2.0, 4.0])
+        assert np.array_equal(cmap.source_axis(1), [0.0, -1.0])
 
 
 class TestAugmentCloud:

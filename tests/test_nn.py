@@ -12,7 +12,7 @@ import pytest
 from gradcheck import gradient_check
 
 from pixpoint.augment import PointDropout, RotationZ, TransformSpec3D, augment_cloud
-from pixpoint.errors import DegenerateEmbedding, NonFiniteLoss
+from pixpoint.errors import DegenerateEmbedding, NonFiniteLoss, PixpointError
 from pixpoint.geometry import PointCloud
 from pixpoint.nn import (
     EncoderParams2D,
@@ -842,3 +842,51 @@ class TestCheckpoint:
         for back, orig in ((e2, enc2), (e3, enc3), (h, head)):
             assert checkpoint_checksum(back.tensors()) == checkpoint_checksum(orig.tensors())
         assert e3.k == 5
+
+
+def _bad_nn_calls():
+    """One call per input check of the network functions and parameter
+    classes, each with one bad value."""
+    enc = EncoderParams2D.initialize(0, 8)
+    enc3 = EncoderParams3D.initialize(0, 8, k=4)
+    head = HeadParams.initialize(0, 8, 8)
+    images = np.zeros((1, 5, 5, 3))
+    pos = np.random.default_rng(0).uniform(-1, 1, (20, 3))
+    colors = np.full((20, 3), 0.5)
+    rows = np.arange(4)
+    nb = knn_indices(pos, 4, rows=rows)
+    table = knn_indices(pos, 8, by_distance=True, rows=rows)
+    t2, t3 = enc.tensors(), enc3.tensors()
+    nan = np.array([np.nan])
+    return {
+        "from_tensors-unknown": lambda: EncoderParams2D.from_tensors({**t2, "extra": nan}),
+        "EncoderParams2D-shape": lambda: EncoderParams2D(**{**t2, "conv1_b": np.zeros(15)}),
+        "EncoderParams2D-finite": lambda: EncoderParams2D(**{**t2, "conv1_b": np.full(16, np.nan)}),
+        "EncoderParams3D-shape": lambda: EncoderParams3D(**{**t3, "b1": np.zeros(31)}, k=4),
+        "EncoderParams3D-finite": lambda: EncoderParams3D(**{**t3, "b1": np.full(32, np.inf)}, k=4),
+        "EncoderParams3D-k": lambda: EncoderParams3D(**t3, k=0),
+        "HeadParams-shapes": lambda: HeadParams(np.zeros((4, 8)), np.zeros(3)),
+        "HeadParams-width": lambda: HeadParams(np.zeros((9, 8)), np.zeros(9)),
+        "encode_images_forward-at-empty": lambda: encode_images_forward(enc, images, at=np.array([], np.int64)),
+        "encode_images_forward-at-unsorted": lambda: encode_images_forward(enc, images, at=np.array([3, 1])),
+        "encode_images_forward-shape": lambda: encode_images_forward(enc, images[0]),
+        "encode_images_forward-size": lambda: encode_images_forward(enc, images[:, :2]),
+        "head_forward-finite": lambda: head_forward(head, np.full((2, 8), np.nan)),
+        "knn_indices-shape": lambda: knn_indices(pos[:, :2], 4),
+        "knn_indices-finite": lambda: knn_indices(np.vstack([pos, [np.inf, 0.0, 0.0]]), 4),
+        "knn_indices-k": lambda: knn_indices(pos, 0),
+        "knn_indices-rows-empty": lambda: knn_indices(pos, 4, rows=np.array([], np.int64)),
+        "knn_indices-rows-repeated": lambda: knn_indices(pos, 4, rows=np.array([1, 1])),
+        "knn_from_table-points": lambda: knn_from_table(table, rows, np.arange(20), pos, 4, np.array([7])),
+        "point_forward-nb": lambda: point_forward(enc3, pos, colors, nb[:2], rows),
+        "encode_points-empty": lambda: encode_points(enc3, PointCloud(np.empty((0, 3)), np.empty((0, 3)))),
+    }
+
+
+BAD_NN_CALLS = _bad_nn_calls()
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NN_CALLS))
+def test_bad_input_raises_a_pixpoint_error(name):
+    with pytest.raises(PixpointError):
+        BAD_NN_CALLS[name]()

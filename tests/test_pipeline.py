@@ -11,6 +11,9 @@ every slot's surviving points would, that pairs sharing one scan share
 its voxelisation and table yet train as pairs holding copies do, and that
 each pair is matched once: a slot's matches are the scan's own z-buffer
 winners that survive dropout, with the frozen embeddings at their pixels.
+Stage 1 also trains bit-identically with the cell-hash matcher of
+test_augment.py, and one slot's positive pixels replay from (seed,
+iteration, slot) outside the run.
 Both: config validation, a finite-difference check of one whole step's
 gradient (stage 2 in both modes), skipped slots counted with the learning
 rate still following the schedule, a non-finite loss naming the batch
@@ -27,6 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from gradcheck import gradient_check
+from test_augment import dense_map, hash_match
 
 from pixpoint import pipeline
 from pixpoint.augment import (
@@ -38,6 +42,8 @@ from pixpoint.augment import (
     RotationZ,
     TransformSpec2D,
     TransformSpec3D,
+    augment_image,
+    match_positive_pixels,
 )
 from pixpoint.errors import (
     EmptyCloud,
@@ -59,7 +65,7 @@ from pixpoint.nn import (
     knn_indices,
 )
 from pixpoint.optim import OptimConfig, lr_schedule
-from pixpoint.rngutil import rng_for
+from pixpoint.rngutil import derive_seed, rng_for
 from pixpoint.synthdata import SceneConfig, generate_scene
 
 DIMS = 8
@@ -207,6 +213,54 @@ def test_stage1_starved_iteration_names_it(dataset, monkeypatch):
     monkeypatch.setattr(pipeline, "match_positive_pixels", never_overlap)
     with pytest.raises(IterationStarved, match="iteration 0:"):
         run_stage1(dataset)
+
+
+def test_stage1_trains_as_with_the_hash_matcher(dataset, monkeypatch):
+    """The closed-form matcher samples the pairs the cell hash does, so a
+    run is bit-identical with either."""
+    closed, closed_report = run_stage1(dataset)
+    size = (dataset[0].image.width, dataset[0].image.height)
+    calls = []
+
+    def hash_matched(map_a, map_b, count, rng_seed):
+        calls.append(rng_seed)
+        return hash_match(dense_map(map_a, *size), dense_map(map_b, *size), count, rng_seed)
+
+    monkeypatch.setattr(pipeline, "match_positive_pixels", hash_matched)
+    hashed, hashed_report = run_stage1(dataset)
+    assert len(calls) >= STAGE1.iterations * STAGE1.batch_pairs
+    assert checkpoint_checksum(closed) == checkpoint_checksum(hashed)
+    assert np.array_equal(closed_report.loss_history, hashed_report.loss_history)
+
+
+def test_stage1_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
+    """A slot's positive pixels are rebuilt outside the run from the
+    image its iteration picked and derive_seed(seed, tag, it, k, attempt)."""
+    real = pipeline.match_positive_pixels
+    recorded = {}
+
+    def recording(map_a, map_b, count, rng_seed):
+        recorded[rng_seed] = real(map_a, map_b, count, rng_seed)
+        return recorded[rng_seed]
+
+    monkeypatch.setattr(pipeline, "match_positive_pixels", recording)
+    run_stage1(dataset)
+
+    cfg, it, k = STAGE1, 1, 2
+    picks = rng_for(cfg.seed, "stage1", it).integers(0, len(dataset), size=cfg.batch_pairs)
+    img = dataset[int(picks[k])].image
+    for attempt in range(pipeline.MAX_PAIR_RETRIES):
+        _, map_a = augment_image(img, cfg.spec_a, derive_seed(cfg.seed, "s1a", it, k, attempt))
+        _, map_b = augment_image(img, cfg.spec_b, derive_seed(cfg.seed, "s1b", it, k, attempt))
+        match_seed = derive_seed(cfg.seed, "s1m", it, k, attempt)
+        try:
+            pix_a, pix_b = match_positive_pixels(map_a, map_b, cfg.pixels_per_pair, match_seed)
+        except EmptyOverlap:
+            continue
+        break
+    got_a, got_b = recorded[match_seed]
+    assert pix_a.shape == (cfg.pixels_per_pair, 2)
+    assert np.array_equal(got_a, pix_a) and np.array_equal(got_b, pix_b)
 
 
 def run_stage2(dataset, **changes):
