@@ -17,18 +17,17 @@ match_positive_pixels pairs the pixels of two views whose original
 coordinates lie within 0.5 px, as PixPro does, in closed form: each axis
 maps A's coordinates through B's inverse affine to the few B pixels
 within 0.5 px, and a column pair and a row pair match when their squared
-distances sum to at most 0.25. Matches are listed by (quadrant, A pixel,
-B pixel), the quadrant being which of the unit cells floor(u - 0.5 + h)
-x floor(v - 0.5 + h'), h and h' in {0, 1}, holds B's point. That is the
-order in which hashing both views into unit cells finds them
-(tests/test_augment.py keeps that matcher), so a seed samples the same
-pairs under either method.
+distances sum to at most 0.25. Each axis pair carries a flag, upper:
+whether B's coordinate lies in the unit cell floor(u + 0.5) around A's
+coordinate u, not in floor(u - 0.5). Matches are listed by quadrant
+2 * upper_x + upper_y, then A pixel, then B pixel. That is the order in
+which hashing both views into unit cells finds them (tests/test_augment.py
+keeps that matcher), so a seed samples the same pairs under either method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -291,10 +290,11 @@ _CELL_OFFSET = 16.0  # keeps cells of coordinates near the image border positive
 
 def _axis_pairs(map_a: CoordMap, map_b: CoordMap, axis: int):
     """The pairs of A and B columns (axis 0) or rows (axis 1) whose source
-    coordinates lie within MATCH_RADIUS_PX: one (a, b, d2) per half h in
-    {0, 1}, holding the pairs whose B coordinate is in the unit cell
-    floor(A's - 0.5 + h), ordered by a, then b, with d2 their squared
-    distance along the axis."""
+    coordinates lie within MATCH_RADIUS_PX, as (a, b, d2, upper) ordered by
+    (upper, a, b): d2 is their squared distance along the axis, and upper
+    says that B's coordinate is in the unit cell floor(A's + 0.5), not
+    floor(A's - 0.5). A pair in neither cell (A's two cells can round two
+    apart) is left out, as the cell hash leaves it out."""
     ua, ub = map_a.source_axis(axis), map_b.source_axis(axis)
     scale, shift = map_b.affine[axis, axis], map_b.affine[axis, 2]
     # the B pixels within r of a lie in a window of 2r / |scale| + 1 around
@@ -308,13 +308,9 @@ def _axis_pairs(map_a: CoordMap, map_b: CoordMap, axis: int):
         first = np.clip(np.ceil((ua - shift) / scale - reach) - 1, 0, ub.size - span)
     cand = first.astype(np.int64)[:, None] + np.arange(span)
     d2 = (ua[:, None] - ub[cand]) ** 2
-    near = d2 <= MATCH_RADIUS_PX**2
-    cell_b = np.floor(ub + _CELL_OFFSET)[cand]
-    pairs = []
-    for h in (-0.5, 0.5):
-        a, k = np.nonzero(near & (cell_b == np.floor(ua + (h + _CELL_OFFSET))[:, None]))
-        pairs.append((a, cand[a, k], d2[a, k]))
-    return pairs
+    cells_a = np.floor(ua + [[_CELL_OFFSET - 0.5], [_CELL_OFFSET + 0.5]])[:, :, None]
+    upper, a, k = np.nonzero((d2 <= MATCH_RADIUS_PX**2) & (np.floor(ub + _CELL_OFFSET)[cand] == cells_a))
+    return a, cand[a, k], d2[a, k], upper
 
 
 def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed: int):
@@ -328,26 +324,23 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
     # a match is a column pair and a row pair whose squared distances sum
-    # to at most r^2; q numbers the quadrant (column half, row half)
-    columns, rows = _axis_pairs(map_a, map_b, 0), _axis_pairs(map_a, map_b, 1)
-    found = []
-    for q, ((xa, xb, dx2), (ya, yb, dy2)) in enumerate(product(columns, rows)):
-        # ordered by (A row, B row, A column, B column)
-        iy, ix = np.nonzero(dx2[None, :] + dy2[:, None] <= MATCH_RADIUS_PX**2)
-        a_key = (q * map_a.height + ya[iy]) * map_a.width + xa[ix]
-        found.append((a_key, xa[ix], ya[iy], xb[ix], yb[iy]))
-    a_key, *pixels = (np.concatenate(c) for c in zip(*found))
-    if a_key.size == 0:
+    # to at most r^2; each A pixel's are found in (B row, B column) order
+    xa, xb, dx2, upper_x = _axis_pairs(map_a, map_b, 0)
+    ya, yb, dy2, upper_y = _axis_pairs(map_a, map_b, 1)
+    iy, ix = np.nonzero(dx2[None, :] + dy2[:, None] <= MATCH_RADIUS_PX**2)
+    if iy.size == 0:
         raise EmptyOverlap("no source coordinates coincide within 0.5 px")
 
     # by (quadrant, A pixel, B pixel): the sort is stable, so each A
     # pixel's B pixels keep their (row, column) order; the module
-    # docstring says why this order
-    order = np.argsort(a_key, kind="stable")
+    # docstring says why this order. The key ((2 upper_x + upper_y) H +
+    # A row) W + A column is summed from a row part and a column part.
+    h, w = map_a.height, map_a.width
+    order = np.argsort(((upper_y * h + ya) * w)[iy] + (2 * upper_x * h * w + xa)[ix], kind="stable")
     if order.size > count:
         order = order[rng_for(rng_seed, "match").choice(order.size, size=count, replace=False)]
-    xa, ya, xb, yb = (c[order] for c in pixels)
-    return np.stack([xa, ya], axis=1), np.stack([xb, yb], axis=1)
+    ix, iy = ix[order], iy[order]
+    return np.stack([xa[ix], ya[iy]], axis=1), np.stack([xb[ix], yb[iy]], axis=1)
 
 
 # ── 3D augmentation ──────────────────────────────────────────────────────

@@ -40,10 +40,6 @@ class NotNormalized(PixpointError):
     """Loss input rows were not unit-norm within tolerance."""
 
 
-class BadTemperature(PixpointError):
-    """Temperature outside (0, 1]."""
-
-
 class ShapeError(PixpointError):
     """Parameter/gradient shape mismatch in the optimizer."""
 

@@ -201,8 +201,9 @@ def build_correspondences(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics)
         empty = np.empty(0)
         return CorrespondenceSet(np.empty(0, np.int64), empty, empty, empty)
     key = iv[idx] * intr.width + iu[idx]
-    # sort by (pixel, depth, point index); first row per pixel wins
-    order = np.lexsort((idx, z[idx], key))
+    # sort by (pixel, depth); the sort is stable and idx ascends, so ties
+    # keep point order and the first row per pixel wins
+    order = np.lexsort((z[idx], key))
     key_sorted = key[order]
     first = np.ones(key_sorted.shape[0], dtype=bool)
     first[1:] = key_sorted[1:] != key_sorted[:-1]
@@ -221,8 +222,9 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
 
     Voxel key is floor(coordinate / voxel_size) per axis. The output point
     is the centroid of the voxel's members with their mean color; labels
-    take the majority vote (ties broken by the lowest class id). The index
-    map sends each original point to its voxel's output index.
+    take the majority vote (ties broken by the lowest class id), counted in
+    one (voxel x class) table over the class ids present. The index map
+    sends each original point to its voxel's output index.
     """
     if not voxel_size > 0:
         raise InvalidInput(f"voxel_size must be positive, got {voxel_size}")
@@ -247,22 +249,11 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
 
     labels = None
     if cloud.labels is not None:
-        # per (voxel, label) counts; majority with ties -> lowest class id
-        pair_order = np.lexsort((cloud.labels, inverse))
-        vox_s = inverse[pair_order]
-        lab_s = cloud.labels[pair_order]
-        new_pair = np.ones(vox_s.shape[0], dtype=bool)
-        new_pair[1:] = (vox_s[1:] != vox_s[:-1]) | (lab_s[1:] != lab_s[:-1])
-        starts = np.flatnonzero(new_pair)
-        pair_vox = vox_s[starts]
-        pair_lab = lab_s[starts]
-        pair_cnt = np.diff(np.append(starts, vox_s.shape[0]))
-        # order each voxel's pairs by (count descending, label ascending);
-        # its first pair is the winner. Every voxel 0..m-1 has a pair.
-        win = np.lexsort((pair_lab, -pair_cnt, pair_vox))
-        first = np.ones(win.shape[0], dtype=bool)
-        first[1:] = pair_vox[win[1:]] != pair_vox[win[:-1]]
-        labels = pair_lab[win[first]]
+        # a (voxel x class) count table over the classes present; argmax
+        # takes a row's first maximum, the lowest of the tied class ids
+        classes, cls = np.unique(cloud.labels, return_inverse=True)
+        table = np.bincount(inverse * classes.size + cls, minlength=m * classes.size)
+        labels = classes[table.reshape(m, classes.size).argmax(axis=1)]
 
     out = PointCloud(pos, col, labels)
     return VoxelizeResult(out, inverse)

@@ -26,7 +26,9 @@ block is written as shifted logits and then exponentiated in place: no
 pass divides it by tau, takes its row maximum or subtracts one. The
 shift is the positive's logit, so the positive's term is exp(0) = 1 and
 L_i = (s_i - q_i . p_i / tau) + log(sum_exp) is log(1 + sum), never
-negative, and exactly 0 for a row that excludes every column.
+negative, and exactly 0 for a row that excludes every column. The sum of
+the negatives' terms is kept apart, and a row whose sum is below 1 takes
+log1p(sum), so a tiny loss keeps its relative accuracy.
 
 A shifted logit is at most the bound less the positive's logit. The
 row's K + 1 exponentials stay finite while that gap is below
@@ -35,7 +37,8 @@ The gap is at most about 2/tau, so there every row takes the positive's
 logit at tau >= 1/350. Far rows, whose gap exceeds that margin, can only
 occur at smaller tau; they take their exact row maximum instead, from
 one small GEMM over those rows only, and go through the same block code.
-So the loss stays finite at any temperature in (0, 1].
+So the loss stays finite at any temperature in (0, 1], which LossConfig
+checks when it is built.
 
 Excluded cells are held as (row, column) index pairs, not as dense
 masks, and set to -inf in the block, so exponentiating zeroes them. The
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadTemperature, InvalidInput, NotNormalized
+from .errors import InvalidInput, NotNormalized
 
 UNIT_TOL = 1e-6
 # rows per loss block: 64 to 256 rows, or a budget of 2**18 cells, timed
@@ -66,6 +69,8 @@ class LossConfig:
     negatives: int = field(kw_only=True)  # rows K of the pool
 
     def __post_init__(self):
+        if not 0.0 < self.tau <= 1.0:  # NaN fails too
+            raise InvalidInput(f"tau must be in (0, 1], got {self.tau}")
         k = self.negatives
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise InvalidInput(f"negatives must be an int >= 1, got {k!r}")
@@ -125,8 +130,6 @@ def info_nce(
     (cfg.negatives, M) pool. `exclude_columns` (N, E) marks pool columns a
     query must not score against (-1 padding).
     """
-    if not 0.0 < cfg.tau <= 1.0:
-        raise BadTemperature(f"temperature must be in (0,1], got {cfg.tau}")
     queries = np.asarray(queries, dtype=np.float64)
     positives = np.asarray(positives, dtype=np.float64)
     pool = np.asarray(negatives, dtype=np.float64)
@@ -169,7 +172,7 @@ def info_nce(
         logits[np.searchsorted(far, dr[in_far]), dc[in_far]] = -np.inf
         shift[far] = np.maximum(logits.max(axis=1), pos_logits[far])
     pos_exp = np.exp(pos_logits - shift)  # 1 on every row but the far ones
-    sum_exp = pos_exp.copy()
+    neg_sum = np.zeros(n)
 
     grad_q = np.zeros_like(queries)
     # held transposed: (q * w).T @ block is a faster GEMM than block.T @ (q * w)
@@ -192,14 +195,19 @@ def info_nce(
         ex = np.matmul(qa, pool_aug.T, out=work[: stop - start])
         ex[dr[lo:hi] - start, dc[lo:hi]] = -np.inf
         np.exp(ex, out=ex)  # exp(-inf) = 0 drops the excluded cells
-        sum_exp[start:stop] += ex.sum(axis=1)
+        neg_sum[start:stop] = ex.sum(axis=1)
 
         # softmax normalisation scales the (C, M) products, not the block
-        w = (1.0 / (tau * sum_exp[start:stop]))[:, None]
+        w = (1.0 / (tau * (pos_exp[start:stop] + neg_sum[start:stop])))[:, None]
         grad_q[start:stop] += (ex @ pool) * w
         grad_pool_t += (q * w).T @ ex
 
+    sum_exp = pos_exp + neg_sum
     per_query = (shift - pos_logits) + np.log(sum_exp)
+    # where the positive's term is 1 that is log(1 + neg_sum), which keeps a
+    # sum below 1 only to about 1e-16 absolute; log1p keeps it to an ulp
+    tiny = np.flatnonzero((pos_exp == 1.0) & (neg_sum < 1.0))
+    per_query[tiny] = np.log1p(neg_sum[tiny])
     # tau * dL_i / d(q_i . p_i): the positive's softmax weight minus 1
     pos_coeff = pos_exp / sum_exp - 1.0
     grad_q += pos_coeff[:, None] * positives / tau

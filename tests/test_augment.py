@@ -401,6 +401,18 @@ class TestAgainstHashMatcher:
         assert assert_same_matches(map_a, map_b, (48, 48), 10**6, 0)
         assert assert_same_matches(map_b, map_a, (48, 48), 10**6, 0)
 
+    def test_pair_in_neither_cell_is_left_out(self):
+        """At u = 16.5 - 2**-48, floor(u + 15.5) is 31 but u + 16.5 rounds
+        to 33, so B's column 16, 0.5 - 2**-48 px away, lies in neither of
+        A's two cells: the cell hash leaves that pair out, and so does the
+        closed form."""
+        map_a = CoordMap([[1.0, 0.0, 0.5 - 2**-48], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 40, 3)
+        map_b = CoordMap.identity(40, 3)
+        assert assert_same_matches(map_a, map_b, (48, 48), 10**6, 0)
+        assert assert_same_matches(map_b, map_a, (48, 48), 10**6, 0)
+        pixels_a, _ = match_positive_pixels(map_a, map_b, 10**6, 0)
+        assert 16 not in pixels_a[:, 0] and 15 in pixels_a[:, 0]
+
     def test_disjoint_views_raise_on_both(self):
         left = CoordMap(np.diag([0.5, 0.5, 1.0]), 16, 16)  # original [0, 7.5] x [0, 7.5]
         right = CoordMap([[0.5, 0.0, 20.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]], 16, 16)

@@ -401,6 +401,29 @@ class TestVoxelize:
         assert out.labels.dtype == expected.dtype
         assert np.array_equal(out.labels, expected)
 
+    def test_majority_labels_of_sparse_negative_and_huge_ids(self):
+        # the vote counts classes by their rank among the ids present, so
+        # ids far apart, negative and beyond int32 must vote as in the loop
+        ids = np.array([-7, 3, 10**12])
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0, 1, size=(3000, 3))
+        labels = ids[rng.integers(0, 3, size=3000)]
+        # three hand-made voxels with exact ties: -7 beats 10**12, 3 beats
+        # 10**12, and -7 beats 3 and 10**12
+        pts = np.concatenate([pts, np.repeat([[2.05, 0, 0], [3.05, 0, 0], [4.05, 0, 0]], [4, 4, 3], axis=0)])
+        labels = np.concatenate([labels, [10**12, -7, 10**12, -7, 3, 10**12, 10**12, 3, 10**12, 3, -7]])
+        res = voxelize(PointCloud(pts, np.full((len(pts), 3), 0.5), labels), 0.1)
+        out, index_map = res.cloud, res.index_map
+        expected = loop_majority_labels(labels, index_map, len(out))
+        assert np.array_equal(out.labels, expected)
+        assert out.labels.dtype == np.int64
+        assert out.labels[-3:].tolist() == [-7, 3, -7]
+        # many random voxels tie too
+        counts = np.zeros((len(out), 3), np.int64)
+        np.add.at(counts, (index_map, np.searchsorted(ids, labels)), 1)
+        top = np.sort(counts, axis=1)
+        assert (top[:, -1] == top[:, -2]).sum() > 100
+
     def test_idempotence_count_non_increasing(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 1, size=(2000, 3))

@@ -9,7 +9,7 @@ import pytest
 from gradcheck import gradient_check
 
 from pixpoint import loss, pipeline
-from pixpoint.errors import BadTemperature, InvalidInput, NotNormalized
+from pixpoint.errors import InvalidInput, NotNormalized
 from pixpoint.loss import LossConfig, info_nce
 
 
@@ -60,8 +60,13 @@ class TestValidation:
     def test_bad_temperature(self):
         q = np.array([[1.0, 0.0]])
         for tau in (0.0, -0.1, 1.5):
-            with pytest.raises((BadTemperature, ValueError)):
+            with pytest.raises(InvalidInput):
                 info_nce(q, q.copy(), np.array([[0.0, 1.0]]), LossConfig(tau=tau, negatives=1))
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, 1.5, np.inf, np.nan])
+    def test_config_rejects_bad_temperature_when_built(self, tau):
+        with pytest.raises(InvalidInput, match="^tau must be in"):
+            LossConfig(tau=tau, negatives=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["queries", "positives", "negatives"])
@@ -484,3 +489,22 @@ class TestFarRows:
             out = info_nce(q, p, pool, LossConfig(tau=tau, negatives=pool.shape[0]), exclude_columns=excl)
             assert out.per_query.min() >= 0.0
             assert np.isfinite(out.grad_queries).all() and np.isfinite(out.grad_negatives).all()
+
+
+def test_every_row_matches_a_50_digit_evaluation():
+    """Rows whose loss is tiny keep their relative accuracy: on this case
+    row 1's loss is 1.6286e-13 and row 199's 3.2e-20. log(1 + sum) kept
+    them only to about 1e-16 absolute (row 199 read 0)."""
+    mpmath = pytest.importorskip("mpmath")
+    q, p, pool, excl = loss_inputs("explicit", n=200, k=150, m=16, seed=3)
+    out = info_nce(q, p, pool, LossConfig(tau=1e-3, negatives=150), exclude_columns=excl)
+    with mpmath.workdps(50):
+        q, p, pool = (mpmath.matrix(a.tolist()) for a in (q, p, pool))
+        sims, tau = q * pool.T, mpmath.mpf(1e-3)
+        for i in range(len(out.per_query)):
+            pos = sum(q[i, j] * p[i, j] for j in range(q.cols))
+            drop = set(excl[i].tolist())
+            terms = [mpmath.exp((sims[i, j] - pos) / tau) for j in range(pool.rows) if j not in drop]
+            exact = mpmath.log1p(mpmath.fsum(terms))
+            assert abs(out.per_query[i] - exact) <= 1e-12 * exact, i
+    assert 0.0 < out.per_query[199] < 1e-19
