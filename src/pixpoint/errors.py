@@ -41,7 +41,7 @@ class NotNormalized(PixpointError):
 
 
 class ShapeError(PixpointError):
-    """Parameter/gradient shape mismatch in the optimizer."""
+    """Parameter/gradient shape or dtype mismatch in the optimizer."""
 
 
 class NonFiniteGradient(PixpointError):

@@ -1,4 +1,10 @@
-"""3x3 convolution stack over images, forward and backward, in float64.
+"""3x3 convolution stack over images, forward and backward.
+
+The stack computes in its parameters' dtype, float32 or float64:
+`encode_images_forward` casts the images to it once, as it pads them, and
+`encode_images_backward` casts the incoming gradient to it once. Each
+layer makes every buffer, and casts its weights, in the dtype of its
+input grid, so float32 parameters run every GEMM at half the bytes.
 
 Every activation lives on a zero-bordered grid (B, H+2, W+2, C): the
 H x W interior holds the values, and the one-pixel border is the zero
@@ -28,7 +34,11 @@ import numpy as np
 from ..errors import InvalidInput
 from .params import EncoderParams2D
 
-_BLOCK = 1 << 15  # float64 elements in one block of output rows, 256 KB
+# elements in one block of output rows: 256 KB in float64, 128 KB in
+# float32. Counted in elements, not bytes: in either dtype the blocked GEMMs
+# ran fastest at about 1024 rows of 32 channels, and 2048 float32 rows (256
+# KB) took the stage-1 encoder about 10% longer.
+_BLOCK = 1 << 15
 _PAD = ((0, 0), (1, 1), (1, 1), (0, 0))  # (B,H,W,C) -> (B,H+2,W+2,C)
 
 
@@ -75,12 +85,13 @@ def conv3x3_forward(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, at=None) ->
     those interior positions."""
     rows, shifts = _positions(xp.shape, at)
     cin, cout = xp.shape[3], w.shape[0]
-    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, cin, cout)
-    out = np.zeros(xp.shape[:3] + (cout,) if at is None else (at.size, cout))
+    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=xp.dtype).reshape(9, cin, cout)
+    out = np.zeros(xp.shape[:3] + (cout,) if at is None else (at.size, cout), dtype=xp.dtype)
     flat = out.reshape(-1, cout)
     _offset_sum(xp.reshape(-1, cin), rows, shifts, wk, flat[rows] if at is None else flat)
     if at is not None:
-        return out + bias
+        out += bias
+        return out
     out[:, 1:-1, 1:-1] += bias
     out[:, [0, -1]] = 0.0  # the band's rows on the border hold partial sums
     out[:, :, [0, -1]] = 0.0
@@ -98,7 +109,7 @@ def conv3x3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_g
     xf = xp.reshape(-1, cin)
     gg = grad_out.reshape(-1, cout)
     g = gg[rows] if at is None else gg
-    grad_w, tmp = np.zeros((9, cout, cin)), np.empty((cout, cin))
+    grad_w, tmp = np.zeros((9, cout, cin), xp.dtype), np.empty((cout, cin), xp.dtype)
     for blk, taps in _blocks(rows, shifts, max(cin, cout)):
         for gw, tap in zip(grad_w, taps):
             gw += np.matmul(g[blk].T, xf[tap], out=tmp)
@@ -106,7 +117,7 @@ def conv3x3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_g
     grad_b = g.sum(axis=0)  # the band's border rows add exact zeros
     if not need_grad_x:
         return None, grad_w, grad_b
-    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, cin)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=xp.dtype).reshape(9, cout, cin)
     gxp = np.zeros_like(xp)
     gxf = gxp.reshape(-1, cin)
     if at is None:
@@ -120,12 +131,12 @@ def conv3x3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_g
 def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
     """Batched forward: images (B,H,W,3) -> (features (B,H,W,D), a view of
     the zero-bordered output, cache); with `at`, features are (len(at), D),
-    the rows at those positions."""
+    the rows at those positions. Everything is in the parameters' dtype."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise InvalidInput(f"images must be (B,H,W,3), got {images.shape}")
     if images.shape[1] < 3 or images.shape[2] < 3:
         raise InvalidInput(f"image dims must be at least 3x3, got {images.shape[1:3]}")
-    xp = np.pad(images, _PAD)
+    xp = np.pad(np.asarray(images, dtype=params.conv1_w.dtype), _PAD)
     a1 = conv3x3_forward(xp, params.conv1_w, params.conv1_b)
     np.maximum(a1, 0.0, out=a1)
     a2 = conv3x3_forward(a1, params.conv2_w, params.conv2_b)
@@ -138,8 +149,10 @@ def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
 
 def encode_images_backward(params: EncoderParams2D, cache: dict, grad_feats: np.ndarray) -> dict:
     """Gradients w.r.t. all encoder parameters (input gradient not needed).
-    grad_feats has the shape of the features forward returned."""
+    grad_feats has the shape of the features forward returned; it is cast
+    to the parameters' dtype, and so are the gradients."""
     xp, a1, a2, at = cache["xp"], cache["a1"], cache["a2"], cache["at"]
+    grad_feats = np.asarray(grad_feats, dtype=xp.dtype)
     grad3 = grad_feats if at is not None else np.pad(grad_feats, _PAD)
     grad_a2, g3w, g3b = conv3x3_backward(a2, params.conv3_w, grad3, at=at)
     grad_a2 *= a2 > 0.0

@@ -1,7 +1,11 @@
 """Projection head: linear map D -> M followed by L2 normalization.
 
-Embeddings are plain (N, M) float64 arrays with unit rows; the loss layer
-re-validates the norm invariant on its inputs.
+The head is the precision boundary of a float32 2D encoder: it casts its
+features to float64 and computes in its own float64 parameters. So
+embeddings are plain (N, M) float64 arrays with unit rows, whatever the
+encoder's dtype, and the feature gradient is float64 (the encoder's
+backward casts it to its own dtype). The loss layer re-validates the norm
+invariant on its inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ NORM_ABORT = 1e-12  # below this the row is considered corrupt
 
 def head_forward(head: HeadParams, features: np.ndarray):
     """features (N, D) -> (embeddings (N, M) unit rows, cache)."""
+    features = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(features)):
         raise InvalidInput("features contain non-finite values")
     y = features @ head.weight.T + head.bias

@@ -1,9 +1,12 @@
 """Trainable parameter containers and seeded initialization.
 
-All tensors are float64. Initialization is uniform in +-sqrt(6 / fan_in)
-per layer, drawn deterministically from a seed. Containers expose their
-tensors as ordered name->array dicts, and rebuild from them, so the
-optimizer and the parameter checksum treat every model alike.
+The 2D encoder's six tensors share one dtype, float32 or float64, and its
+layers compute in it; `EncoderParams2D.initialize` makes float32. The
+point encoder and the heads are float64. Initialization is uniform in
++-sqrt(6 / fan_in) per layer, drawn deterministically from a seed in
+float64; the 2D encoder's draws are then rounded to float32. Containers
+expose their tensors as ordered name->array dicts, and rebuild from them,
+so the optimizer and the parameter checksum treat every model alike.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ class _TensorStruct:
 @dataclass
 class EncoderParams2D(_TensorStruct):
     """Three 3x3 stride-1 pad-1 convolutions (3 -> 16 -> 32 -> D), ReLU after
-    the first two. Kernels are laid out (out_ch, in_ch, kh, kw)."""
+    the first two. Kernels are laid out (out_ch, in_ch, kh, kw). All six
+    tensors share one dtype, float32 or float64, which the layers compute
+    in."""
 
     conv1_w: np.ndarray
     conv1_b: np.ndarray
@@ -73,6 +78,9 @@ class EncoderParams2D(_TensorStruct):
                 raise InvalidInput(f"{name} must have shape {want}, got {got.shape}")
             if not np.all(np.isfinite(got)):
                 raise InvalidInput(f"{name} contains non-finite values")
+        dtypes = {name: t.dtype for name, t in self.tensors().items()}
+        if len(set(dtypes.values())) != 1 or self.conv1_w.dtype not in (np.float32, np.float64):
+            raise InvalidInput(f"tensors must share one dtype, float32 or float64, got {dtypes}")
 
     @property
     def feature_dim(self) -> int:
@@ -80,8 +88,9 @@ class EncoderParams2D(_TensorStruct):
 
     @staticmethod
     def initialize(seed: int, feature_dim: int = DEFAULT_FEATURE_DIM) -> "EncoderParams2D":
+        """float32 tensors: the float64 draws of the seed's stream, rounded."""
         rng = rng_for(seed, "init2d")
-        return EncoderParams2D(
+        tensors = dict(
             conv1_w=_uniform_init(rng, (16, 3, 3, 3), 3 * 9),
             conv1_b=_uniform_init(rng, (16,), 3 * 9),
             conv2_w=_uniform_init(rng, (32, 16, 3, 3), 16 * 9),
@@ -89,6 +98,7 @@ class EncoderParams2D(_TensorStruct):
             conv3_w=_uniform_init(rng, (feature_dim, 32, 3, 3), 32 * 9),
             conv3_b=_uniform_init(rng, (feature_dim,), 32 * 9),
         )
+        return EncoderParams2D(**{k: v.astype(np.float32) for k, v in tensors.items()})
 
 
 @dataclass

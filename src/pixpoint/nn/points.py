@@ -257,13 +257,18 @@ def point_forward(
     x = np.concatenate([positions[needed], colors[needed]], axis=1)
     h1 = np.maximum(x @ params.w1.T + params.b1, 0.0)
     h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
-    gathered = h2[nb_at]  # (R, k_eff, 32)
-    agg = gathered.max(axis=1)
-    arg = gathered.argmax(axis=1)  # first maximum = lowest neighbour index
+    # max over the k_eff neighbour slots in one pass; a slot wins a channel
+    # only where it is strictly above the running maximum, so ties keep the
+    # first maximum, the lowest neighbour index
+    agg = h2[nb_at[:, 0]]
+    winners = np.repeat(nb_at[:, :1], h2.shape[1], axis=1)  # (R, 32) source row per channel
+    for slot in nb_at.T[1:]:
+        v = h2[slot]
+        np.copyto(winners, slot[:, None], where=v > agg)
+        np.maximum(agg, v, out=agg)
     c = np.concatenate([h2[at], agg], axis=1)
     g1 = np.maximum(c @ params.v1.T + params.d1, 0.0)
     out = g1 @ params.v2.T + params.d2
-    winners = np.take_along_axis(nb_at, arg, axis=1)  # (R, 32) source row per channel
     cache = {"x": x, "h1": h1, "h2": h2, "at": at, "winners": winners, "c": c, "g1": g1}
     return out, cache
 

@@ -7,6 +7,8 @@ Update recurrence per tensor:
     param -= lr * buf
 
 The learning rate decays as lr0 * gamma^floor(step / decay_every).
+Each tensor updates in its own dtype, and so does its momentum buffer: a
+gradient must match its parameter in dtype as well as shape.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ def sgd_step(params: dict, grads: dict, state: OptimState, cfg: OptimConfig) -> 
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"{name}: gradient shape {g.shape} != parameter shape {p.shape}")
+        if g.dtype != p.dtype:
+            raise ShapeError(f"{name}: gradient dtype {g.dtype} != parameter dtype {p.dtype}")
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient for {name!r} contains NaN or inf")
         g = g + cfg.weight_decay * p

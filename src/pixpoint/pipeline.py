@@ -78,7 +78,7 @@ from .nn import (
     point_forward,
 )
 from .optim import OptimConfig, OptimState, sgd_step
-from .rngutil import derive_seed, rng_for
+from .rngutil import derive_seed, derive_seeds, rng_for
 
 log = logging.getLogger(__name__)
 
@@ -200,7 +200,8 @@ class _NormAudit:
     def take(self, z: np.ndarray) -> None:
         self.rows += z.shape[0]
         if z.shape[0]:
-            err = float(np.abs(np.linalg.norm(z, axis=1) - 1.0).max())
+            # einsum forms no (N, M) temporary of squares, as linalg.norm does
+            err = float(np.abs(np.sqrt(np.einsum("ij,ij->i", z, z)) - 1.0).max())
             self.max_err = max(self.max_err, err)
 
 
@@ -294,7 +295,9 @@ def _batch_info_nce(z: np.ndarray, pool, tau: float):
 def pretrain_2d(dataset: list, cfg: Stage1Config):
     """Pixel-level contrastive pre-training of the 2D encoder.
 
-    Returns (EncoderParams2D, HeadParams, TrainReport).
+    The encoder trains in float32, the dtype EncoderParams2D.initialize
+    makes; the head and the loss compute in float64. Returns
+    (EncoderParams2D, HeadParams, TrainReport).
     """
     if not dataset:
         raise InvalidInput("dataset must be nonempty")
@@ -310,19 +313,12 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         for k, img_idx in enumerate(picks):
             img = dataset[int(img_idx)]
             for attempt in range(MAX_PAIR_RETRIES):
-                view_a, map_a = augment_image(
-                    img, cfg.spec_a, derive_seed(cfg.seed, "s1a", it, k, attempt)
-                )
-                view_b, map_b = augment_image(
-                    img, cfg.spec_b, derive_seed(cfg.seed, "s1b", it, k, attempt)
-                )
+                # view a, view b and the match: one seed derivation per attempt
+                seed_a, seed_b, seed_m = derive_seeds(cfg.seed, 3, "s1", it, k, attempt)
+                view_a, map_a = augment_image(img, cfg.spec_a, seed_a)
+                view_b, map_b = augment_image(img, cfg.spec_b, seed_b)
                 try:
-                    pix_a, pix_b = match_positive_pixels(
-                        map_a,
-                        map_b,
-                        cfg.pixels_per_pair,
-                        derive_seed(cfg.seed, "s1m", it, k, attempt),
-                    )
+                    pix_a, pix_b = match_positive_pixels(map_a, map_b, cfg.pixels_per_pair, seed_m)
                 except EmptyOverlap:
                     continue
                 views.append(view_a.pixels)
@@ -345,7 +341,7 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         # conv3 runs only at the distinct sampled pixels; one A pixel can
         # match several B pixels, so rows gather through the inverse
         flat = (view_ids * batch.shape[1] + pix[:, 1]) * batch.shape[2] + pix[:, 0]
-        at, inv = np.unique(flat, return_inverse=True)
+        at, first, inv = np.unique(flat, return_index=True, return_inverse=True)
         feats, conv_cache = encode_images_forward(enc, batch, at=at)
         sel_feats = feats[inv]
         z, head_cache = head_forward(head, sel_feats)
@@ -355,8 +351,13 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         out, grad_rows = _batch_info_nce(z, pool, cfg.tau)
 
         grad_sel, head_grads = head_backward(head, head_cache, grad_rows)
-        grad_feats = np.zeros_like(feats)
-        np.add.at(grad_feats, inv, grad_sel)
+        # sum the rows that share a pixel in float64 and in row order, as
+        # np.add.at into zeros would: each pixel's first row, then its few
+        # repeats; the encoder's backward casts the sum to its own dtype
+        grad_feats = grad_sel[first]
+        repeats = np.ones(inv.size, dtype=bool)
+        repeats[first] = False
+        np.add.at(grad_feats, inv[repeats], grad_sel[repeats])
         enc_grads = encode_images_backward(enc, conv_cache, grad_feats)
         return out, enc_grads, head_grads, skipped
 
@@ -370,7 +371,8 @@ def frozen_pixel_embeddings(
 ):
     """The points of scan that win the z-buffer in pair's camera, and the
     unit-norm frozen embedding at each one's pixel: (point_index (n,),
-    targets (n, M))."""
+    targets (n, M) float64). The encoder runs in its parameters' dtype, the
+    head in float64."""
     corrs = build_correspondences(scan, pair.pose, pair.intrinsics)
     if len(corrs) == 0:
         return corrs.point_index, np.empty((0, head2d.embed_dim))
@@ -385,12 +387,15 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     """Distill frozen pixel embeddings into the 3D encoder.
 
     dataset is a list of ScenePair; frozen2d is (EncoderParams2D,
-    HeadParams), never updated. Returns (EncoderParams3D, HeadParams,
-    TrainReport). A slot's matches are its voxelised scan's own z-buffer
-    winners in the pair's camera that survive the slot's dropout, matched
-    once in set-up. Pairs that share one PointCloud object, as the pairs of
-    pairs_from_scene do, share its voxelisation and its neighbour table;
-    the cloud is frozen, so this equals giving each pair its own copy.
+    HeadParams), never updated. The frozen encoder runs in its own dtype
+    (float32 from EncoderParams2D.initialize, as stage 1 trains it) and its
+    head in float64, so the targets are float64 unit rows. Returns
+    (EncoderParams3D, HeadParams, TrainReport). A slot's matches are its
+    voxelised scan's own z-buffer winners in the pair's camera that survive
+    the slot's dropout, matched once in set-up. Pairs that share one
+    PointCloud object, as the pairs of pairs_from_scene do, share its
+    voxelisation and its neighbour table; the cloud is frozen, so this
+    equals giving each pair its own copy.
     """
     if not dataset:
         raise InvalidInput("dataset must be nonempty")

@@ -32,7 +32,15 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def derive_seeds(seed: int, n: int, *tags) -> list:
+    """n deterministic child seeds for (seed, *tags), for APIs that take a
+    plain integer seed: the first n words of one SeedSequence's state.
+    The state stream does not depend on n, so the first seed is
+    derive_seed(seed, *tags) and a longer list extends a shorter one."""
+    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF,) + tuple(_encode(t) for t in tags)
+    return np.random.SeedSequence(entropy).generate_state(n, dtype=np.uint64).tolist()
+
+
 def derive_seed(seed: int, *tags) -> int:
     """Deterministic child seed for APIs that take a plain integer seed."""
-    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF,) + tuple(_encode(t) for t in tags)
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+    return derive_seeds(seed, 1, *tags)[0]

@@ -99,6 +99,11 @@ def reference_conv3x3_backward(x, w, grad_out, need_grad_x=True, at=None):
     return grad_xp[:, 1:-1, 1:-1, :], grad_w, grad_b
 
 
+def float64_params(params):
+    """The same encoder with its tensors widened to float64."""
+    return EncoderParams2D.from_tensors({k: v.astype(np.float64) for k, v in params.tensors().items()})
+
+
 def padded(x):
     """(B,H,W,C) -> the zero-bordered (B,H+2,W+2,C) grid the conv layers take."""
     return np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
@@ -257,7 +262,7 @@ class TestConvEncoder:
         assert err < 1e-4
 
     def test_relu_mask_matches_forward_positivity(self):
-        params = EncoderParams2D.initialize(6)
+        params = float64_params(EncoderParams2D.initialize(6))
         imgs = np.random.default_rng(7).uniform(0, 1, size=(1, 5, 5, 3))
         feats, cache = encode_images_forward(params, imgs)
         assert np.array_equal(cache["xp"], padded(imgs))
@@ -357,6 +362,63 @@ class TestConvAtPositions:
             conv3x3_forward(xp, w, b, at=np.array(at, dtype=np.int64))
 
 
+class TestEncoderDtype:
+    """The 2D encoder computes in its parameters' dtype; initialize makes
+    float32, and the head returns float64 embeddings either way."""
+
+    AT = np.array([0, 9, 40, 83, 120, 167])
+
+    @pytest.fixture
+    def imgs(self):
+        return np.random.default_rng(23).uniform(0, 1, size=(2, 6, 14, 3))
+
+    def test_initialize_makes_float32(self):
+        params = EncoderParams2D.initialize(24)
+        assert {t.dtype for t in params.tensors().values()} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_float32_parameters_give_float32_outputs_and_gradients(self, imgs, sampled):
+        params = EncoderParams2D.initialize(25)
+        at = self.AT if sampled else None
+        feats, cache = encode_images_forward(params, imgs, at=at)
+        assert feats.dtype == np.float32
+        assert all(cache[k].dtype == np.float32 for k in ("xp", "a1", "a2"))
+        grad = np.random.default_rng(26).normal(size=feats.shape)  # float64
+        grads = encode_images_backward(params, cache, grad)
+        for name, t in params.tensors().items():
+            assert grads[name].dtype == np.float32 and grads[name].shape == t.shape, name
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_float32_forward_matches_float64_on_the_same_weights(self, imgs, sampled):
+        params = EncoderParams2D.initialize(27)
+        at = self.AT if sampled else None
+        narrow, _ = encode_images_forward(params, imgs, at=at)
+        wide, _ = encode_images_forward(float64_params(params), imgs, at=at)
+        assert wide.dtype == np.float64
+        assert np.abs(narrow - wide).max() <= 1e-5 * np.abs(wide).max()
+
+    def test_head_maps_float32_features_to_float64_unit_rows(self):
+        rng = np.random.default_rng(28)
+        head = HeadParams.initialize(29)
+        feats = rng.normal(size=(300, 16)).astype(np.float32)
+        z, cache = head_forward(head, feats)
+        assert z.dtype == np.float64
+        assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() <= 1e-12
+        grad_feats, grads = head_backward(head, cache, rng.normal(size=z.shape))
+        assert grad_feats.dtype == np.float64 and grads["weight"].dtype == np.float64
+
+    def test_relu_mask_matches_forward_positivity_in_float32(self):
+        params = EncoderParams2D.initialize(6)
+        imgs = np.random.default_rng(7).uniform(0, 1, size=(1, 5, 5, 3))
+        feats, cache = encode_images_forward(params, imgs)
+        xp = padded(imgs).astype(np.float32)
+        assert np.array_equal(cache["xp"], xp)
+        pre1 = conv3x3_forward(xp, params.conv1_w, params.conv1_b)
+        assert np.array_equal(cache["a1"] > 0, pre1 > 0)
+        for a in (cache["a1"], cache["a2"]):
+            assert_zero_border(a)
+
+
 class TestPointEncoder:
     def random_cloud(self, n, seed=0):
         rng = np.random.default_rng(seed)
@@ -440,6 +502,26 @@ class TestPointEncoder:
         grads = point_backward(params, cache, grad_rows)
         for name in want:
             assert np.allclose(grads[name], want[name], rtol=0.0, atol=1e-12), name
+
+    def test_first_maximum_matches_argmax_with_ties(self):
+        # 10 points, each three times over: neighbours holding equal h2 rows
+        # tie on every channel, and ReLU zeros tie too
+        base = self.random_cloud(10, seed=17)
+        cloud = PointCloud(np.repeat(base.positions, 3, axis=0), np.repeat(base.colors, 3, axis=0))
+        params = EncoderParams3D.initialize(18, k=5)
+        rows = np.array([4, 0, 29, 13, 17])
+        nb = knn_indices(cloud.positions, 5, rows=rows)
+        out, cache = point_forward(params, cloud.positions, cloud.colors, nb, rows)
+        needed = np.zeros(len(cloud), dtype=bool)
+        needed[rows] = needed[nb] = True
+        nb_at = (np.cumsum(needed) - 1)[nb]
+        gathered = cache["h2"][nb_at]
+        agg = gathered.max(axis=1)
+        ties = (gathered == agg[:, None]).sum(axis=1) > 1
+        assert ties[agg > 0].any() and ties[agg == 0].any()
+        want = np.take_along_axis(nb_at, gathered.argmax(axis=1), axis=1)
+        assert np.array_equal(cache["winners"], want)
+        assert np.array_equal(cache["c"][:, agg.shape[1] :], agg)
 
     @pytest.mark.parametrize(
         "rows",
@@ -862,6 +944,11 @@ def _bad_nn_calls():
         "from_tensors-unknown": lambda: EncoderParams2D.from_tensors({**t2, "extra": nan}),
         "EncoderParams2D-shape": lambda: EncoderParams2D(**{**t2, "conv1_b": np.zeros(15)}),
         "EncoderParams2D-finite": lambda: EncoderParams2D(**{**t2, "conv1_b": np.full(16, np.nan)}),
+        "EncoderParams2D-dtype-mixed": lambda: EncoderParams2D(**{**t2, "conv2_b": np.zeros(32)}),
+        "EncoderParams2D-dtype-int": lambda: EncoderParams2D(**{k: v.astype(int) for k, v in t2.items()}),
+        "EncoderParams2D-dtype-float16": lambda: EncoderParams2D(
+            **{k: v.astype(np.float16) for k, v in t2.items()}
+        ),
         "EncoderParams3D-shape": lambda: EncoderParams3D(**{**t3, "b1": np.zeros(31)}, k=4),
         "EncoderParams3D-finite": lambda: EncoderParams3D(**{**t3, "b1": np.full(32, np.inf)}, k=4),
         "EncoderParams3D-k": lambda: EncoderParams3D(**t3, k=0),

@@ -70,6 +70,27 @@ class TestSgdStep:
         with pytest.raises(ShapeError):
             sgd_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, OptimState(), cfg())
 
+    @pytest.mark.parametrize("param, grad", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_dtype_mismatch_raises(self, param, grad):
+        p = {"w": np.zeros(3, dtype=param)}
+        with pytest.raises(ShapeError, match="dtype"):
+            sgd_step(p, {"w": np.ones(3, dtype=grad)}, OptimState(), cfg())
+        assert not p["w"].any()
+
+    def test_float32_updates_in_float32(self):
+        # the update is the float32 evaluation of the float64 recurrence
+        rng = np.random.default_rng(2)
+        p = {"w": rng.normal(size=6).astype(np.float32)}
+        wide = {"w": p["w"].astype(np.float64)}
+        state, state_wide = OptimState(), OptimState()
+        c = cfg(weight_decay=0.004, momentum=0.9, dampening=0.1)
+        for _ in range(3):
+            g = rng.normal(size=6).astype(np.float32)
+            sgd_step(p, {"w": g}, state, c)
+            sgd_step(wide, {"w": g.astype(np.float64)}, state_wide, c)
+        assert p["w"].dtype == np.float32 and state.buffers["w"].dtype == np.float32
+        assert np.allclose(p["w"], wide["w"], rtol=0.0, atol=8 * np.finfo(np.float32).eps)
+
     def test_non_finite_gradient_raises(self):
         with pytest.raises(NonFiniteGradient):
             sgd_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])}, OptimState(), cfg())
