@@ -17,12 +17,9 @@ match_positive_pixels pairs the pixels of two views whose original
 coordinates lie within 0.5 px, as PixPro does, in closed form: each axis
 maps A's coordinates through B's inverse affine to the few B pixels
 within 0.5 px, and a column pair and a row pair match when their squared
-distances sum to at most 0.25. Each axis pair carries a flag, upper:
-whether B's coordinate lies in the unit cell floor(u + 0.5) around A's
-coordinate u, not in floor(u - 0.5). Matches are listed by quadrant
-2 * upper_x + upper_y, then A pixel, then B pixel. That is the order in
-which hashing both views into unit cells finds them (tests/test_augment.py
-keeps that matcher), so a seed samples the same pairs under either method.
+distances sum to at most 0.25. Distance alone decides a match. The
+matches are listed by (row pair, column pair), the order the sample is
+drawn from, so a seed always samples the same pairs.
 """
 
 from __future__ import annotations
@@ -285,16 +282,12 @@ def augment_image(img: Image, spec: TransformSpec2D, rng_seed: int):
 # ── positive-pixel matching ──────────────────────────────────────────────
 
 MATCH_RADIUS_PX = 0.5
-_CELL_OFFSET = 16.0  # keeps cells of coordinates near the image border positive
 
 
 def _axis_pairs(map_a: CoordMap, map_b: CoordMap, axis: int):
     """The pairs of A and B columns (axis 0) or rows (axis 1) whose source
-    coordinates lie within MATCH_RADIUS_PX, as (a, b, d2, upper) ordered by
-    (upper, a, b): d2 is their squared distance along the axis, and upper
-    says that B's coordinate is in the unit cell floor(A's + 0.5), not
-    floor(A's - 0.5). A pair in neither cell (A's two cells can round two
-    apart) is left out, as the cell hash leaves it out."""
+    coordinates lie within MATCH_RADIUS_PX, as (a, b, d2) ordered by
+    (a, b): d2 is their squared distance along the axis."""
     ua, ub = map_a.source_axis(axis), map_b.source_axis(axis)
     scale, shift = map_b.affine[axis, axis], map_b.affine[axis, 2]
     # the B pixels within r of a lie in a window of 2r / |scale| + 1 around
@@ -308,9 +301,8 @@ def _axis_pairs(map_a: CoordMap, map_b: CoordMap, axis: int):
         first = np.clip(np.ceil((ua - shift) / scale - reach) - 1, 0, ub.size - span)
     cand = first.astype(np.int64)[:, None] + np.arange(span)
     d2 = (ua[:, None] - ub[cand]) ** 2
-    cells_a = np.floor(ua + [[_CELL_OFFSET - 0.5], [_CELL_OFFSET + 0.5]])[:, :, None]
-    upper, a, k = np.nonzero((d2 <= MATCH_RADIUS_PX**2) & (np.floor(ub + _CELL_OFFSET)[cand] == cells_a))
-    return a, cand[a, k], d2[a, k], upper
+    a, k = np.nonzero(d2 <= MATCH_RADIUS_PX**2)
+    return a, cand[a, k], d2[a, k]
 
 
 def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed: int):
@@ -324,22 +316,15 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
     # a match is a column pair and a row pair whose squared distances sum
-    # to at most r^2; each A pixel's are found in (B row, B column) order
-    xa, xb, dx2, upper_x = _axis_pairs(map_a, map_b, 0)
-    ya, yb, dy2, upper_y = _axis_pairs(map_a, map_b, 1)
+    # to at most r^2
+    xa, xb, dx2 = _axis_pairs(map_a, map_b, 0)
+    ya, yb, dy2 = _axis_pairs(map_a, map_b, 1)
     iy, ix = np.nonzero(dx2[None, :] + dy2[:, None] <= MATCH_RADIUS_PX**2)
     if iy.size == 0:
         raise EmptyOverlap("no source coordinates coincide within 0.5 px")
-
-    # by (quadrant, A pixel, B pixel): the sort is stable, so each A
-    # pixel's B pixels keep their (row, column) order; the module
-    # docstring says why this order. The key ((2 upper_x + upper_y) H +
-    # A row) W + A column is summed from a row part and a column part.
-    h, w = map_a.height, map_a.width
-    order = np.argsort(((upper_y * h + ya) * w)[iy] + (2 * upper_x * h * w + xa)[ix], kind="stable")
-    if order.size > count:
-        order = order[rng_for(rng_seed, "match").choice(order.size, size=count, replace=False)]
-    ix, iy = ix[order], iy[order]
+    if iy.size > count:
+        pick = rng_for(rng_seed, "match").choice(iy.size, size=count, replace=False)
+        ix, iy = ix[pick], iy[pick]
     return np.stack([xa[ix], ya[iy]], axis=1), np.stack([xb[ix], yb[iy]], axis=1)
 
 

@@ -132,38 +132,26 @@ class Image:
 class CorrespondenceSet:
     """Z-buffer-resolved point-to-pixel matches for one camera.
 
-    Per entry: winning point index, continuous projection (u, v), and its
-    camera-frame depth. At most one entry per integer pixel; the integer
-    pixel is recovered by half-up rounding of (u, v).
+    Per entry: the winning point's index and the integer pixel (row,
+    column) its projection rounds to, half-up. At most one entry per pixel.
     """
 
     point_index: np.ndarray  # (n,) int64
-    u: np.ndarray  # (n,) float64, continuous column
-    v: np.ndarray  # (n,) float64, continuous row
-    depth: np.ndarray  # (n,) float64, metres
+    pixel_row: np.ndarray  # (n,) int64
+    pixel_column: np.ndarray  # (n,) int64
 
     def __post_init__(self):
-        object.__setattr__(self, "point_index", _readonly(self.point_index, np.int64))
-        object.__setattr__(self, "u", _readonly(self.u))
-        object.__setattr__(self, "v", _readonly(self.v))
-        object.__setattr__(self, "depth", _readonly(self.depth))
-        n = self.point_index.shape[0]
-        if not (self.u.shape == self.v.shape == self.depth.shape == (n,)):
+        names = ("point_index", "pixel_row", "pixel_column")
+        arrays = [np.asarray(getattr(self, name)) for name in names]
+        if not all(np.issubdtype(a.dtype, np.integer) for a in arrays):
+            raise InvalidInput("correspondence arrays must hold integers")
+        if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
             raise InvalidInput("correspondence arrays must share length")
-        # NaN fails every comparison, so it fails these checks too
-        if n and not (np.abs(self.u).max() < np.inf and np.abs(self.v).max() < np.inf):
-            raise InvalidInput("correspondence pixel coordinates must be finite")
-        if n and not (0 < self.depth.min() and self.depth.max() < np.inf):
-            raise InvalidInput("correspondence depths must be positive and finite")
+        for name, a in zip(names, arrays):
+            object.__setattr__(self, name, _readonly(a, np.int64))
 
     def __len__(self):
         return self.point_index.shape[0]
-
-    def pixel_columns(self) -> np.ndarray:
-        return np.floor(self.u + 0.5).astype(np.int64)
-
-    def pixel_rows(self) -> np.ndarray:
-        return np.floor(self.v + 0.5).astype(np.int64)
 
 
 def project_points(positions: np.ndarray, pose: Pose, intr: CameraIntrinsics):
@@ -198,8 +186,8 @@ def build_correspondences(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics)
     valid &= (iu >= 0) & (iu < intr.width) & (iv >= 0) & (iv < intr.height)
     idx = np.flatnonzero(valid)
     if idx.size == 0:
-        empty = np.empty(0)
-        return CorrespondenceSet(np.empty(0, np.int64), empty, empty, empty)
+        empty = np.empty(0, np.int64)
+        return CorrespondenceSet(empty, empty, empty)
     key = iv[idx] * intr.width + iu[idx]
     # sort by (pixel, depth); the sort is stable and idx ascends, so ties
     # keep point order and the first row per pixel wins
@@ -208,7 +196,7 @@ def build_correspondences(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics)
     first = np.ones(key_sorted.shape[0], dtype=bool)
     first[1:] = key_sorted[1:] != key_sorted[:-1]
     win = idx[order][first]
-    return CorrespondenceSet(win, u[win], v[win], z[win])
+    return CorrespondenceSet(win, iv[win], iu[win])
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,16 @@ def default_spec_3d() -> TransformSpec3D:
     )
 
 
-def _check_stage_config(cfg) -> None:
-    """The checks that Stage1Config and Stage2Config share."""
-    for name in ("batch_pairs", "iterations", "feature_dim"):
-        if getattr(cfg, name) < 1:
-            raise InvalidInput(f"{name} must be >= 1")
-    if not 1 <= cfg.embed_dim <= cfg.feature_dim:
-        raise InvalidInput(f"embed_dim must be in [1, feature_dim = {cfg.feature_dim}]")
+def _check_stage_config(cfg, **least) -> None:
+    """The checks that Stage1Config and Stage2Config share. least maps each
+    count the config adds to the smallest value it takes."""
+    counts = {"batch_pairs": 1, "iterations": 1, "feature_dim": 1, "embed_dim": 1, **least}
+    for name, low in counts.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise InvalidInput(f"{name} must be an int >= {low}")
+    if cfg.embed_dim > cfg.feature_dim:
+        raise InvalidInput(f"embed_dim must be <= feature_dim = {cfg.feature_dim}")
     if not 0.0 < cfg.tau <= 1.0:  # NaN fails too
         raise InvalidInput(f"tau must be in (0, 1], got {cfg.tau}")
 
@@ -140,11 +143,7 @@ class Stage1Config:
     seed: int = 0
 
     def __post_init__(self):
-        _check_stage_config(self)
-        if self.pixels_per_pair < 2:
-            raise InvalidInput("pixels_per_pair must be >= 2")
-        if not isinstance(self.negative_cap, (int, np.integer)) or self.negative_cap < 1:
-            raise InvalidInput("negative_cap must be an int >= 1")
+        _check_stage_config(self, pixels_per_pair=2, negative_cap=1)
 
 
 @dataclass(frozen=True)
@@ -163,11 +162,7 @@ class Stage2Config:
     seed: int = 0
 
     def __post_init__(self):
-        _check_stage_config(self)
-        if self.correspondences_per_pair < 2:
-            raise InvalidInput("correspondences_per_pair must be >= 2")
-        if self.knn < 1:
-            raise InvalidInput("knn must be >= 1")
+        _check_stage_config(self, correspondences_per_pair=2, knn=1)
         if self.negative_source not in (POINTS_ONLY, POINTS_AND_PIXELS):
             raise InvalidInput(f"unknown negative_source {self.negative_source!r}")
         if not self.voxel_size > 0:  # NaN fails too
@@ -377,7 +372,7 @@ def frozen_pixel_embeddings(
     if len(corrs) == 0:
         return corrs.point_index, np.empty((0, head2d.embed_dim))
     # one winner per pixel, in ascending pixel order: conv3 runs only there
-    at = corrs.pixel_rows() * pair.image.width + corrs.pixel_columns()
+    at = corrs.pixel_row * pair.image.width + corrs.pixel_column
     feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None], at=at)
     targets, _ = head_forward(head2d, feats)
     return corrs.point_index, targets

@@ -210,7 +210,7 @@ def render_view(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics) -> Camera
     """Splat the cloud through the z-buffer; pixels without a point stay gray."""
     corrs = build_correspondences(cloud, pose, intr)
     pixels = np.full((intr.height, intr.width, 3), BACKGROUND_COLOR, dtype=np.float64)
-    pixels[corrs.pixel_rows(), corrs.pixel_columns()] = cloud.colors[corrs.point_index]
+    pixels[corrs.pixel_row, corrs.pixel_column] = cloud.colors[corrs.point_index]
     return CameraView(pose, intr, Image(pixels), corrs)
 
 

@@ -4,8 +4,9 @@ Affine expectations are hand-composed in the tests from the same sampled
 parameters; bilinear checks use an independent loop implementation.
 `dense_map` expands a CoordMap's affine into a full grid of original
 coordinates, and `hash_match` matches two such grids by hashing them into
-unit cells: the matcher match_positive_pixels replaced, kept as its
-reference for the match set and its order.
+unit cells and searching the 3x3 cells around each A pixel's own, which
+hold every point within 0.5 px of it: the reference for the set of pairs
+match_positive_pixels finds.
 """
 
 from types import SimpleNamespace
@@ -79,10 +80,11 @@ def _expand_ranges(left, right):
     return rows, cols
 
 
-def hash_match(map_a, map_b, count, rng_seed):
-    """match_positive_pixels on two dense_maps, by a cell hash: every valid
-    B pixel is keyed by its unit cell, and each valid A pixel looks up the
-    four cells around its source point, quadrant by quadrant."""
+def hash_match(map_a, map_b):
+    """Every match of two dense_maps, by a cell hash: every valid B pixel
+    is keyed by its unit cell, and each valid A pixel looks up its own cell
+    and the 8 around it. Returns (pixels_a, pixels_b) as (n, 2) arrays of
+    (column, row)."""
     av = map_a.valid.ravel()
     bv = map_b.valid.ravel()
     a_src = map_a.src.reshape(-1, 2)[av]
@@ -92,7 +94,8 @@ def hash_match(map_a, map_b, count, rng_seed):
     if a_src.shape[0] == 0 or b_src.shape[0] == 0:
         raise EmptyOverlap("no valid pixels to match")
 
-    # each source point's 0.5-px neighbours lie in a 2x2 block of unit cells
+    # a point within 0.5 px lies in a cell at most one from the source
+    # point's own, even where the two sums with off round apart
     off = 16.0  # guard against negative cells near the image border
     b_cell = np.floor(b_src + off).astype(np.int64)
     b_key = b_cell[:, 0] << 20 | b_cell[:, 1]
@@ -101,9 +104,10 @@ def hash_match(map_a, map_b, count, rng_seed):
 
     rows_all = []
     cols_all = []
-    for du in (-0.5, 0.5):
-        for dv in (-0.5, 0.5):
-            cell = np.floor(a_src + [du + off, dv + off]).astype(np.int64)
+    a_cell = np.floor(a_src + off).astype(np.int64)
+    for du in (-1, 0, 1):
+        for dv in (-1, 0, 1):
+            cell = a_cell + [du, dv]
             key = cell[:, 0] << 20 | cell[:, 1]
             left = np.searchsorted(b_key_sorted, key, side="left")
             right = np.searchsorted(b_key_sorted, key, side="right")
@@ -118,11 +122,6 @@ def hash_match(map_a, map_b, count, rng_seed):
         ai, bi = ai[keep], bi[keep]
     if ai.size == 0:
         raise EmptyOverlap("no source coordinates coincide within 0.5 px")
-
-    rng = rng_for(rng_seed, "match")
-    if ai.size > count:
-        pick = rng.choice(ai.size, size=count, replace=False)
-        ai, bi = ai[pick], bi[pick]
     a_flat = a_lin[ai]
     b_flat = b_lin[bi]
     pixels_a = np.stack([a_flat % map_a.width, a_flat // map_a.width], axis=1)
@@ -346,24 +345,37 @@ CHAINED_SPECS = {f"{w}x{h}": TransformSpec2D(_chain((w, h))) for w, h in [(64, 6
 CHAINED_SPECS["5x5-from-1-wide"] = TransformSpec2D(_chain((2, 9))[:3] + (RandomResizedCrop((0.2, 0.2), (5, 5)),))
 
 
-def assert_same_matches(map_a, map_b, image_size, count, seed):
-    """match_positive_pixels equals hash_match, order included, or both
-    raise EmptyOverlap; returns whether they matched anything."""
+def pair_keys(pixels_a, pixels_b):
+    """One int64 per pair: its A column, A row, B column and B row in
+    16 bits each."""
+    c = np.concatenate([pixels_a, pixels_b], axis=1).astype(np.int64)
+    return ((c[:, 0] << 16 | c[:, 1]) << 16 | c[:, 2]) << 16 | c[:, 3]
+
+
+def assert_same_matches(map_a, map_b, image_size, seed, counts=(10**6,)):
+    """For each count, match_positive_pixels samples min(count, matches)
+    distinct pairs of hash_match's set, so all of them when count reaches
+    it, or both raise EmptyOverlap; returns whether they matched anything."""
     try:
-        want = hash_match(dense_map(map_a, *image_size), dense_map(map_b, *image_size), count, seed)
+        want = hash_match(dense_map(map_a, *image_size), dense_map(map_b, *image_size))
     except EmptyOverlap:
         with pytest.raises(EmptyOverlap):
-            match_positive_pixels(map_a, map_b, count, seed)
+            match_positive_pixels(map_a, map_b, counts[0], seed)
         return False
-    got = match_positive_pixels(map_a, map_b, count, seed)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    want_keys = pair_keys(*want)
+    assert np.unique(want_keys).size == want_keys.size
+    for count in counts:
+        got = match_positive_pixels(map_a, map_b, count, seed)
+        assert all(g.dtype == w.dtype for g, w in zip(got, want))
+        got = pair_keys(*got)
+        assert np.unique(got).size == got.size == min(count, want_keys.size)
+        assert np.isin(got, want_keys).all()
     return True
 
 
 class TestAgainstHashMatcher:
-    """The closed form finds the cell hash's matches in the cell hash's
-    order, so a seed samples the same pairs."""
+    """The closed form finds every pair the widened cell hash finds, and
+    no other."""
 
     def test_default_spec_pairs(self):
         img = checker_image(w=64, h=64, seed=14)
@@ -371,8 +383,7 @@ class TestAgainstHashMatcher:
         for seed in range(120):
             _, map_a = augment_image(img, spec, 2 * seed)
             _, map_b = augment_image(img, spec, 2 * seed + 1)
-            for count in (512, 10**6):
-                assert assert_same_matches(map_a, map_b, (64, 64), count, seed)
+            assert assert_same_matches(map_a, map_b, (64, 64), seed, (512, 10**6))
 
     @pytest.mark.parametrize("name_a", sorted(CHAINED_SPECS))
     def test_chained_crop_flip_specs(self, name_a):
@@ -382,8 +393,7 @@ class TestAgainstHashMatcher:
             for seed in range(20):
                 _, map_a = augment_image(img, CHAINED_SPECS[name_a], 2 * seed)
                 _, map_b = augment_image(img, spec_b, 2 * seed + 1)
-                for count in (50, 10**6):
-                    hit = assert_same_matches(map_a, map_b, (64, 48), count, seed)
+                hit = assert_same_matches(map_a, map_b, (64, 48), seed, (50, 10**6))
                 matched += hit
                 wide += hit and min(abs(map_b.affine[0, 0]), abs(map_b.affine[1, 1])) < 0.5
         assert matched > 0 and wide > 0
@@ -398,26 +408,27 @@ class TestAgainstHashMatcher:
         axis = [[sign * scale, 0.0, shift], [0.0, scale, 0.0], [0.0, 0.0, 1.0]]
         map_b = CoordMap(axis, 40, 30)
         map_a = CoordMap.identity(34, 26)
-        assert assert_same_matches(map_a, map_b, (48, 48), 10**6, 0)
-        assert assert_same_matches(map_b, map_a, (48, 48), 10**6, 0)
+        assert assert_same_matches(map_a, map_b, (48, 48), 0)
+        assert assert_same_matches(map_b, map_a, (48, 48), 0)
 
-    def test_pair_in_neither_cell_is_left_out(self):
+    def test_pair_in_neither_cell_is_matched(self):
         """At u = 16.5 - 2**-48, floor(u + 15.5) is 31 but u + 16.5 rounds
         to 33, so B's column 16, 0.5 - 2**-48 px away, lies in neither of
-        A's two cells: the cell hash leaves that pair out, and so does the
-        closed form."""
+        the two unit cells around u that a 2x2 cell hash would search. It
+        is within 0.5 px, so it is matched, in both directions."""
         map_a = CoordMap([[1.0, 0.0, 0.5 - 2**-48], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 40, 3)
         map_b = CoordMap.identity(40, 3)
-        assert assert_same_matches(map_a, map_b, (48, 48), 10**6, 0)
-        assert assert_same_matches(map_b, map_a, (48, 48), 10**6, 0)
-        pixels_a, _ = match_positive_pixels(map_a, map_b, 10**6, 0)
-        assert 16 not in pixels_a[:, 0] and 15 in pixels_a[:, 0]
+        assert assert_same_matches(map_a, map_b, (48, 48), 0)
+        assert assert_same_matches(map_b, map_a, (48, 48), 0)
+        for first, second in ((map_a, map_b), (map_b, map_a)):
+            pixels_a, pixels_b = match_positive_pixels(first, second, 10**6, 0)
+            assert pair_keys([[16, 0]], [[16, 0]])[0] in pair_keys(pixels_a, pixels_b)
 
     def test_disjoint_views_raise_on_both(self):
         left = CoordMap(np.diag([0.5, 0.5, 1.0]), 16, 16)  # original [0, 7.5] x [0, 7.5]
         right = CoordMap([[0.5, 0.0, 20.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]], 16, 16)
-        assert not assert_same_matches(left, right, (32, 32), 10, 0)
-        assert not assert_same_matches(right, left, (32, 32), 10, 0)
+        assert not assert_same_matches(left, right, (32, 32), 0)
+        assert not assert_same_matches(right, left, (32, 32), 0)
 
 
 @pytest.mark.parametrize("name", sorted(CHAINED_SPECS) + ["default"])

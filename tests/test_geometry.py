@@ -196,14 +196,12 @@ class TestUnitRangeValidation:
                 PointCloud(pos, col)
         PointCloud(pos, np.tile([0.0, 1.0, 0.5], (4, 1)))
 
-    @pytest.mark.parametrize("field", ["u", "v", "depth"])
-    def test_correspondence_set_rejects_non_finite_values(self, field):
-        for bad in (np.nan, np.inf, -np.inf):
-            arrays = {"u": np.array([0.0, 1.0]), "v": np.array([0.0, 1.0]), "depth": np.ones(2)}
-            arrays[field][1] = bad
-            with pytest.raises(InvalidInput):
-                CorrespondenceSet(np.array([0, 1]), **arrays)
-        CorrespondenceSet(np.array([0, 1]), np.zeros(2), np.zeros(2), np.ones(2))
+    @pytest.mark.parametrize("field", ["point_index", "pixel_row", "pixel_column"])
+    def test_correspondence_set_rejects_float_arrays(self, field):
+        arrays = {name: np.array([0, 1]) for name in ("point_index", "pixel_row", "pixel_column")}
+        with pytest.raises(InvalidInput, match="^correspondence arrays must hold integers$"):
+            CorrespondenceSet(**{**arrays, field: np.array([0.0, 1.0])})
+        CorrespondenceSet(**arrays)
 
 
 def valid_pair_parts():
@@ -218,7 +216,7 @@ def valid_pair_parts():
         lambda: PointCloud(np.zeros((2, 3)), np.zeros((3, 3))),
         lambda: Pose(2.0 * np.eye(3), np.zeros(3)),
         lambda: CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4),
-        lambda: CorrespondenceSet(np.arange(1), np.array([np.nan]), np.ones(1), np.ones(1)),
+        lambda: CorrespondenceSet(np.arange(1), np.array([np.nan]), np.zeros(1, np.int64)),
         lambda: ScenePair(*valid_pair_parts()[:3], simple_camera(w=8, h=8, f=8.0)),
     ],
     ids=["Image", "PointCloud", "Pose", "CameraIntrinsics", "CorrespondenceSet", "ScenePair"],
@@ -238,7 +236,7 @@ class TestCorrespondences:
         cs = build_correspondences(cloud, Pose.identity(), intr)
         assert len(cs) == 1
         assert cs.point_index[0] == 1
-        assert cs.depth[0] == 1.0
+        assert project_points(cloud.positions[cs.point_index], Pose.identity(), intr)[2][0] == 1.0
 
     def test_point_outside_frustum_gives_empty_set(self):
         intr = simple_camera()
@@ -267,11 +265,10 @@ class TestCorrespondences:
             cloud = PointCloud(pts, np.full((500, 3), 0.5))
             cs = build_correspondences(cloud, pose, intr)
             expect = oracle_correspondences(cloud, pose, intr)
+            u, v, d, _ = project_points(cloud.positions[cs.point_index], pose, intr)
             got = {
-                (int(r), int(c)): (int(i), float(u), float(v), float(d))
-                for r, c, i, u, v, d in zip(
-                    cs.pixel_rows(), cs.pixel_columns(), cs.point_index, cs.u, cs.v, cs.depth
-                )
+                (int(r), int(c)): (int(i), float(ui), float(vi), float(di))
+                for r, c, i, ui, vi, di in zip(cs.pixel_row, cs.pixel_column, cs.point_index, u, v, d)
             }
             assert got.keys() == expect.keys()
             for key in expect:
@@ -297,7 +294,8 @@ class TestCorrespondences:
         pose = random_pose(rng)
         cs = build_correspondences(cloud, pose, intr)
         assert len(cs) > 0
-        winner = {(int(r), int(c)): float(d) for r, c, d in zip(cs.pixel_rows(), cs.pixel_columns(), cs.depth)}
+        depth = project_points(cloud.positions[cs.point_index], pose, intr)[2]
+        winner = {(int(r), int(c)): float(d) for r, c, d in zip(cs.pixel_row, cs.pixel_column, depth)}
         for i in range(len(cloud)):
             hit = oracle_project(cloud.positions[i], pose, intr)
             if hit is None:
@@ -323,9 +321,11 @@ class TestCorrespondences:
         other = build_correspondences(moved, pose2, intr)
 
         assert np.array_equal(base.point_index, other.point_index)
-        assert np.allclose(base.u, other.u, atol=1e-9)
-        assert np.allclose(base.v, other.v, atol=1e-9)
-        assert np.allclose(base.depth, other.depth, atol=1e-9)
+        assert np.array_equal(base.pixel_row, other.pixel_row)
+        assert np.array_equal(base.pixel_column, other.pixel_column)
+        seen = project_points(pts[base.point_index], pose, intr)[:3]
+        seen_moved = project_points(moved.positions[other.point_index], pose2, intr)[:3]
+        assert np.allclose(seen, seen_moved, atol=1e-9)
 
 
 # ── voxelize ─────────────────────────────────────────────────────────────

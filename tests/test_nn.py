@@ -859,6 +859,11 @@ class TestHead:
         z, _ = head_forward(head, rng.normal(size=(100, 16)))
         assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() < 1e-6
 
+    def test_tiny_row_above_the_abort_becomes_a_unit_row(self):
+        head = HeadParams(np.eye(2), np.zeros(2))
+        z, _ = head_forward(head, np.array([[3e-10, 4e-10]]))  # norm 5e-10
+        assert np.allclose(z, [[0.6, 0.8]], atol=1e-12)
+
     def test_degenerate_embedding_aborts(self):
         head = HeadParams(np.eye(2), np.zeros(2))
         with pytest.raises(DegenerateEmbedding):

@@ -11,9 +11,8 @@ every slot's surviving points would, that pairs sharing one scan share
 its voxelisation and table yet train as pairs holding copies do, and that
 each pair is matched once: a slot's matches are the scan's own z-buffer
 winners that survive dropout, with the frozen embeddings at their pixels.
-Stage 1 also trains bit-identically with the cell-hash matcher of
-test_augment.py, and one slot's positive pixels replay from (seed,
-iteration, slot) outside the run.
+In each stage one slot's batch rows replay from (seed, iteration, slot)
+outside the run.
 Both: config validation, a finite-difference check of one whole step's
 gradient (stage 2 in both modes), skipped slots counted with the learning
 rate still following the schedule, a non-finite loss naming the batch
@@ -30,7 +29,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from gradcheck import gradient_check
-from test_augment import dense_map, hash_match
 from test_nn import float64_params
 
 from pixpoint import pipeline
@@ -43,6 +41,7 @@ from pixpoint.augment import (
     RotationZ,
     TransformSpec2D,
     TransformSpec3D,
+    augment_cloud,
     augment_image,
     match_positive_pixels,
 )
@@ -66,7 +65,7 @@ from pixpoint.nn import (
     knn_indices,
 )
 from pixpoint.optim import OptimConfig, lr_schedule
-from pixpoint.rngutil import derive_seeds, rng_for
+from pixpoint.rngutil import derive_seed, derive_seeds, rng_for
 from pixpoint.synthdata import SceneConfig, generate_scene
 
 DIMS = 8
@@ -237,24 +236,6 @@ def test_stage1_starved_iteration_names_it(dataset, monkeypatch):
         run_stage1(dataset)
 
 
-def test_stage1_trains_as_with_the_hash_matcher(dataset, monkeypatch):
-    """The closed-form matcher samples the pairs the cell hash does, so a
-    run is bit-identical with either."""
-    closed, closed_report = run_stage1(dataset)
-    size = (dataset[0].image.width, dataset[0].image.height)
-    calls = []
-
-    def hash_matched(map_a, map_b, count, rng_seed):
-        calls.append(rng_seed)
-        return hash_match(dense_map(map_a, *size), dense_map(map_b, *size), count, rng_seed)
-
-    monkeypatch.setattr(pipeline, "match_positive_pixels", hash_matched)
-    hashed, hashed_report = run_stage1(dataset)
-    assert len(calls) >= STAGE1.iterations * STAGE1.batch_pairs
-    assert checkpoint_checksum(closed) == checkpoint_checksum(hashed)
-    assert np.array_equal(closed_report.loss_history, hashed_report.loss_history)
-
-
 def test_stage1_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
     """A slot's positive pixels are rebuilt outside the run from the
     image its iteration picked and the three seeds of
@@ -385,7 +366,7 @@ def test_frozen_embeddings_are_the_dense_encoders_at_the_winners(dataset):
     point_index, targets = pipeline.frozen_pixel_embeddings(enc2d, head2d, pair, scan)
     corrs = build_correspondences(scan, pair.pose, pair.intrinsics)
     feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None])
-    want, _ = head_forward(head2d, feats[0, corrs.pixel_rows(), corrs.pixel_columns()])
+    want, _ = head_forward(head2d, feats[0, corrs.pixel_row, corrs.pixel_column])
     assert np.array_equal(point_index, corrs.point_index) and len(point_index) > 0
     assert np.array_equal(targets, want)
     # a camera every point of the scan lies behind
@@ -441,7 +422,7 @@ def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypa
     for pair in dataset:
         scan = voxelize(pair.cloud, STAGE2.voxel_size).cloud
         corrs = build_correspondences(scan, pair.pose, pair.intrinsics)
-        pixels = zip(corrs.pixel_rows(), corrs.pixel_columns())
+        pixels = zip(corrs.pixel_row, corrs.pixel_column)
         pixel_of.append(dict(zip(corrs.point_index.tolist(), pixels)))
         feats, _ = encode_images_forward(enc2d, np.asarray(pair.image.pixels)[None])
         z, _ = head_forward(head2d, feats.reshape(-1, DIMS))
@@ -465,6 +446,46 @@ def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypa
     assert slot == len(rows) == len(index_maps)
 
 
+def test_stage2_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
+    """A slot's rows and positives are rebuilt outside the run from the
+    pair its iteration picked, its augmentation seed derive_seed(seed,
+    "s2aug", it, k) and its pick rng_for(seed, "s2pick", it, k)."""
+    forward, loss = pipeline.point_forward, pipeline.info_nce
+    fed, positives = [], []
+
+    def recording_forward(enc, positions, colors, nb, rows):
+        fed.append((positions, colors, rows))
+        return forward(enc, positions, colors, nb, rows)
+
+    def recording_loss(queries, pos, *args, **kwargs):
+        positives.append(pos)
+        return loss(queries, pos, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "point_forward", recording_forward)
+    monkeypatch.setattr(pipeline, "info_nce", recording_loss)
+    _, report = run_stage2(dataset)
+    assert report.skipped == 0  # so slot k of iteration it is call it * batch_pairs + k
+
+    cfg, it, k = STAGE2, 2, 1
+    picks = rng_for(cfg.seed, "stage2", it).integers(0, len(dataset), size=cfg.batch_pairs)
+    pair = dataset[int(picks[k])]
+    scan = voxelize(pair.cloud, cfg.voxel_size).cloud
+    frozen = (EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS))
+    point_index, targets = pipeline.frozen_pixel_embeddings(*frozen, pair, scan)
+    cloud, index_map = augment_cloud(scan, cfg.spec3d, derive_seed(cfg.seed, "s2aug", it, k))
+    rows = index_map[point_index]
+    alive = np.flatnonzero(rows >= 0)
+    n_take = min(cfg.correspondences_per_pair, alive.size)
+    pick = alive[rng_for(cfg.seed, "s2pick", it, k).choice(alive.size, size=n_take, replace=False)]
+
+    slot = it * cfg.batch_pairs + k
+    positions, colors, got_rows = fed[slot]
+    offset = sum(len(r) for _, _, r in fed[it * cfg.batch_pairs : slot])
+    assert np.array_equal(positions, cloud.positions) and np.array_equal(colors, cloud.colors)
+    assert n_take == cfg.correspondences_per_pair and np.array_equal(got_rows, rows[pick])
+    assert np.array_equal(positives[it][offset : offset + n_take], targets[pick])
+
+
 @pytest.mark.parametrize("source", NEGATIVE_SOURCES)
 def test_stage2_step_gradient_matches_finite_differences(dataset, monkeypatch, source):
     run = partial(run_stage2, negative_source=source)
@@ -472,18 +493,32 @@ def test_stage2_step_gradient_matches_finite_differences(dataset, monkeypatch, s
     assert error < 1e-4
 
 
+STAGE_COUNTS = [
+    (1, "iterations", 1),
+    (2, "iterations", 1),
+    (2, "batch_pairs", 1),
+    (1, "batch_pairs", 1),
+    (1, "pixels_per_pair", 2),
+    (1, "feature_dim", 1),
+    (1, "embed_dim", 1),
+    (1, "negative_cap", 1),
+    (2, "correspondences_per_pair", 2),
+    (2, "feature_dim", 1),
+    (2, "embed_dim", 1),
+    (2, "knn", 1),
+]
+
+
 @pytest.mark.parametrize(
-    "config, field",
-    [
-        (pipeline.Stage1Config, "iterations"),
-        (pipeline.Stage2Config, "iterations"),
-        (pipeline.Stage2Config, "batch_pairs"),
-    ],
-    ids=["stage1-iterations", "stage2-iterations", "stage2-batch_pairs"],
+    "stage, field, least", STAGE_COUNTS, ids=[f"stage{stage}-{field}" for stage, field, _ in STAGE_COUNTS]
 )
-def test_config_rejects_counts_below_one(config, field):
-    for value in (0, -1):
-        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+def test_config_rejects_counts_below_one(stage, field, least):
+    """Every count of a stage config is an int of at least least (1, or 2
+    for a pair's pixels or correspondences); a float is rejected even when
+    it holds a whole number, and so is a bool."""
+    config = pipeline.Stage1Config if stage == 1 else pipeline.Stage2Config
+    for value in (least - 1, -1, least + 0.5, float(least), True):
+        with pytest.raises(InvalidInput, match=f"^{field} must be an int >= {least}$"):
             config(**{field: value})
 
 

@@ -71,14 +71,14 @@ class TestGenerateScene:
                 scene.cloud.positions[cs.point_index], view.pose, view.intrinsics
             )
             assert valid.all()
-            assert np.abs(u - cs.u).max() < 1e-6
-            assert np.abs(v - cs.v).max() < 1e-6
+            assert np.array_equal(np.floor(u + 0.5), cs.pixel_column)
+            assert np.array_equal(np.floor(v + 0.5), cs.pixel_row)
 
     def test_rendered_pixels_match_point_colors(self):
         scene = generate_scene(small_cfg())
         view = scene.cameras[0]
         px = view.image.pixels
-        rows, cols = view.correspondences.pixel_rows(), view.correspondences.pixel_columns()
+        rows, cols = view.correspondences.pixel_row, view.correspondences.pixel_column
         assert np.array_equal(px[rows, cols], scene.cloud.colors[view.correspondences.point_index])
         # background pixels carry the sentinel color
         mask = np.ones(px.shape[:2], dtype=bool)
