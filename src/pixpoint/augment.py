@@ -178,18 +178,18 @@ class CoordMap:
 
 
 def bilinear_sample(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample H x W x C pixels at continuous (xs, ys), which broadcast
-    together; callers keep coords in range."""
+    """Sample H x W x C pixels on the grid of source columns xs (W',) and
+    rows ys (H',): (H', W', C). Interpolates along x with two column
+    gathers, then along y; callers keep coords in range."""
     h, w = pixels.shape[:2]
     x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
     y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xs - x0)[..., None]
-    fy = (ys - y0)[..., None]
-    top = pixels[y0, x0] * (1.0 - fx) + pixels[y0, x1] * fx
-    bot = pixels[y1, x0] * (1.0 - fx) + pixels[y1, x1] * fx
-    return top * (1.0 - fy) + bot * fy
+    fx = (xs - x0)[:, None]
+    fy = (ys - y0)[:, None, None]
+    cols = pixels[:, x0] * (1.0 - fx) + pixels[:, x1] * fx
+    return cols[y0] * (1.0 - fy) + cols[y1] * fy
 
 
 def _crop_affine(x0, y0, cw, ch, ow, oh):
@@ -240,7 +240,7 @@ def augment_image(img: Image, spec: TransformSpec2D, rng_seed: int):
         if pristine and size == (base.shape[1], base.shape[0]):
             return
         step = CoordMap(affine, *size)
-        base = bilinear_sample(base, step.source_axis(0)[None, :], step.source_axis(1)[:, None])
+        base = bilinear_sample(base, step.source_axis(0), step.source_axis(1))
         total = total @ affine
         affine = np.eye(3)
         pristine = True

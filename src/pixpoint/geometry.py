@@ -210,9 +210,10 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
 
     Voxel key is floor(coordinate / voxel_size) per axis. The output point
     is the centroid of the voxel's members with their mean color; labels
-    take the majority vote (ties broken by the lowest class id), counted in
-    one (voxel x class) table over the class ids present. The index map
-    sends each original point to its voxel's output index.
+    take the majority vote (ties broken by the lowest class id), counted
+    over the distinct (voxel, class) pairs present, so memory grows with
+    the points, not with voxels x classes. The index map sends each
+    original point to its voxel's output index.
     """
     if not voxel_size > 0:
         raise InvalidInput(f"voxel_size must be positive, got {voxel_size}")
@@ -237,11 +238,14 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
 
     labels = None
     if cloud.labels is not None:
-        # a (voxel x class) count table over the classes present; argmax
-        # takes a row's first maximum, the lowest of the tied class ids
+        # the votes of each distinct (voxel, class rank) pair, ordered by
+        # voxel; each voxel takes its pair with the most votes, then the
+        # lowest class id
         classes, cls = np.unique(cloud.labels, return_inverse=True)
-        table = np.bincount(inverse * classes.size + cls, minlength=m * classes.size)
-        labels = classes[table.reshape(m, classes.size).argmax(axis=1)]
+        pairs, votes = np.unique(inverse * classes.size + cls, return_counts=True)
+        vox, cls = np.divmod(pairs, classes.size)
+        best = np.lexsort((cls, -votes, vox))[np.searchsorted(vox, np.arange(m))]
+        labels = classes[cls[best]]
 
     out = PointCloud(pos, col, labels)
     return VoxelizeResult(out, inverse)

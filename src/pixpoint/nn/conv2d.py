@@ -18,10 +18,14 @@ of s = (i-1)*(W+2) + (j-1) rows. A layer sums (rows moved by s) @
 holding each input nine times, is built. Dense layers compute, in blocks
 that stay in cache, the band [W+3, n-W-3) of grid rows, which holds every
 output pixel; moved by s a block is a slice. The input gradient is the
-same sum over the padded output gradient with shifts negated. Its border
-holds the gradient of the padding, which is not an input: the caller's
-ReLU mask (zero on the border) discards it, and what is left is the
-previous layer's padded output gradient. With `at` (sorted, unique flat
+same sum over the padded output gradient with shifts negated, written
+over the layer's input grid once the weight gradient has read it. Its
+border holds the gradient of the padding, which is not an input: the
+caller's ReLU mask (zero on the border), taken before the grid is
+overwritten, discards it, and what is left is the previous layer's padded
+output gradient. So `encode_images_backward` consumes its cache: each
+activation's buffer becomes that activation's gradient, and the backward
+holds one grid per layer, not two. With `at` (sorted, unique flat
 positions (b*H + y)*W + x; stage 1's conv3) the loop runs over those
 pixels' grid rows instead and scatters the input gradient back, one add
 per offset.
@@ -102,8 +106,10 @@ def conv3x3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_g
     """Returns (grad_x or None, grad_w, grad_b) for the layer forward ran on
     the zero-bordered `xp`. grad_out is (B,H+2,W+2,Cout) with a zero border,
     or with `at` (len(at), Cout), the gradient of the rows that forward
-    returned. grad_x has the shape of xp; its border holds the gradient of
-    the padding, which the caller's mask discards."""
+    returned. grad_x has the shape of xp and is written over xp, once
+    grad_w no longer reads it; its border holds the gradient of the
+    padding, which the caller's mask discards. Without need_grad_x, xp is
+    left as it was."""
     cout, cin = w.shape[:2]
     rows, shifts = _positions(xp.shape, at)
     xf = xp.reshape(-1, cin)
@@ -118,14 +124,13 @@ def conv3x3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray, need_g
     if not need_grad_x:
         return None, grad_w, grad_b
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=xp.dtype).reshape(9, cout, cin)
-    gxp = np.zeros_like(xp)
-    gxf = gxp.reshape(-1, cin)
+    xf[...] = 0.0  # xp's own buffer, unless xp was not contiguous
     if at is None:
-        _offset_sum(gg, rows, [-s for s in shifts], wt, gxf[rows])
+        _offset_sum(gg, rows, [-s for s in shifts], wt, xf[rows])
     else:  # `at` is unique, so no target repeats within one indexed add
         for s, w_k in zip(shifts, wt):
-            gxf[rows + s] += g @ w_k
-    return gxp, grad_w, grad_b
+            xf[rows + s] += g @ w_k
+    return xf.reshape(xp.shape), grad_w, grad_b
 
 
 def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
@@ -150,13 +155,28 @@ def encode_images_forward(params: EncoderParams2D, images: np.ndarray, at=None):
 def encode_images_backward(params: EncoderParams2D, cache: dict, grad_feats: np.ndarray) -> dict:
     """Gradients w.r.t. all encoder parameters (input gradient not needed).
     grad_feats has the shape of the features forward returned; it is cast
-    to the parameters' dtype, and so are the gradients."""
-    xp, a1, a2, at = cache["xp"], cache["a1"], cache["a2"], cache["at"]
-    grad_feats = np.asarray(grad_feats, dtype=xp.dtype)
-    grad3 = grad_feats if at is not None else np.pad(grad_feats, _PAD)
-    grad_a2, g3w, g3b = conv3x3_backward(a2, params.conv3_w, grad3, at=at)
-    grad_a2 *= a2 > 0.0
-    grad_a1, g2w, g2b = conv3x3_backward(a1, params.conv2_w, grad_a2)
-    grad_a1 *= a1 > 0.0
-    _, g1w, g1b = conv3x3_backward(xp, params.conv1_w, grad_a1, need_grad_x=False)
+    to the parameters' dtype, and so are the gradients.
+
+    Consumes the cache: each activation's buffer becomes its gradient and
+    leaves the cache when the layer that reads it returns, so the backward
+    holds one grid per layer. A second call on the same cache raises
+    InvalidInput."""
+    if "a2" not in cache:
+        raise InvalidInput("the cache was consumed by an earlier backward; run the forward again")
+    at = cache.pop("at")
+    grad3 = np.asarray(grad_feats, dtype=params.conv1_w.dtype)
+    if at is None:
+        grad3 = np.pad(grad3, _PAD)
+    # each ReLU mask is taken before the layer writes its input gradient
+    # over the activation; a1 and a2 keep no other reference here
+    mask = cache["a2"] > 0.0
+    grad_a2, g3w, g3b = conv3x3_backward(cache.pop("a2"), params.conv3_w, grad3, at=at)
+    grad_a2 *= mask
+    del grad3, mask
+    mask = cache["a1"] > 0.0
+    grad_a1, g2w, g2b = conv3x3_backward(cache.pop("a1"), params.conv2_w, grad_a2)
+    del grad_a2
+    grad_a1 *= mask
+    del mask
+    _, g1w, g1b = conv3x3_backward(cache.pop("xp"), params.conv1_w, grad_a1, need_grad_x=False)
     return dict(conv1_w=g1w, conv1_b=g1b, conv2_w=g2w, conv2_b=g2b, conv3_w=g3w, conv3_b=g3b)

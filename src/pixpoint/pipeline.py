@@ -300,7 +300,9 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
     head = HeadParams.initialize(cfg.seed, cfg.feature_dim, cfg.embed_dim)
     audit = _NormAudit()
 
-    def step(it, rng_iter, picks):
+    def sample(it, picks):
+        """(the batch's views stacked in float64, the sampled pixels of its
+        A sides then its B sides, the count of skipped pairs)"""
         skipped = 0
         views = []
         sel_a = []  # (pixels (P,2)) per pair, view index 2k
@@ -326,26 +328,32 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
                 log.warning("iteration %d: pair %d skipped after %d retries", it, k, MAX_PAIR_RETRIES)
         if not sel_a:
             raise IterationStarved(f"iteration {it}: every pair of the batch was skipped")
+        return np.stack(views), sel_a + sel_b, skipped
 
-        batch = np.stack(views)
+    def step(it, rng_iter, picks):
         # row layout: all query pixels (A sides), then all positives (B sides)
-        sel = sel_a + sel_b
+        batch, sel, skipped = sample(it, picks)
         pix = np.concatenate(sel)
-        view_ids = np.repeat(np.r_[0 : len(views) : 2, 1 : len(views) : 2], [len(p) for p in sel])
+        view_ids = np.repeat(np.r_[0 : len(batch) : 2, 1 : len(batch) : 2], [len(p) for p in sel])
 
         # conv3 runs only at the distinct sampled pixels; one A pixel can
-        # match several B pixels, so rows gather through the inverse
+        # match several B pixels, so rows gather through the inverse. Each
+        # array is dropped once its last reader returns, so that none lives
+        # through the encoder's backward.
         flat = (view_ids * batch.shape[1] + pix[:, 1]) * batch.shape[2] + pix[:, 0]
         at, first, inv = np.unique(flat, return_index=True, return_inverse=True)
         feats, conv_cache = encode_images_forward(enc, batch, at=at)
-        sel_feats = feats[inv]
-        z, head_cache = head_forward(head, sel_feats)
+        del batch
+        z, head_cache = head_forward(head, feats[inv])
+        del feats
         audit.take(z)
         cap = min(int(cfg.negative_cap), z.shape[0])
         pool = rng_iter.choice(z.shape[0], size=cap, replace=False)
         out, grad_rows = _batch_info_nce(z, pool, cfg.tau)
+        del z
 
         grad_sel, head_grads = head_backward(head, head_cache, grad_rows)
+        del head_cache, grad_rows
         # sum the rows that share a pixel in float64 and in row order, as
         # np.add.at into zeros would: each pixel's first row, then its few
         # repeats; the encoder's backward casts the sum to its own dtype
@@ -353,6 +361,7 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         repeats = np.ones(inv.size, dtype=bool)
         repeats[first] = False
         np.add.at(grad_feats, inv[repeats], grad_sel[repeats])
+        del grad_sel
         enc_grads = encode_images_backward(enc, conv_cache, grad_feats)
         return out, enc_grads, head_grads, skipped
 

@@ -86,10 +86,6 @@ class Rect:
     class_id: int
     object_id: int
 
-    @property
-    def area(self) -> float:
-        return float(np.linalg.norm(np.cross(self.e1, self.e2)))
-
 
 @dataclass(frozen=True)
 class Box:
@@ -245,14 +241,14 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
 
     jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, size=(next_obj, 3))
 
-    areas = np.array([r.area for r in rects])
-    probs = areas / areas.sum()
-    choice = rng.choice(len(rects), size=cfg.n_points, p=probs)
-    st = rng.uniform(0.0, 1.0, size=(cfg.n_points, 2))
     origin, e1, e2, labels, obj = (
-        np.array([getattr(r, name) for r in rects])[choice]
+        np.array([getattr(r, name) for r in rects])
         for name in ("origin", "e1", "e2", "class_id", "object_id")
     )
+    areas = np.linalg.norm(np.cross(e1, e2), axis=1)
+    choice = rng.choice(len(rects), size=cfg.n_points, p=areas / areas.sum())
+    st = rng.uniform(0.0, 1.0, size=(cfg.n_points, 2))
+    origin, e1, e2, labels, obj = (a[choice] for a in (origin, e1, e2, labels, obj))
     positions = origin + st[:, :1] * e1 + st[:, 1:] * e2
     colors = np.clip(np.asarray(cfg.palette, dtype=np.float64)[labels] + jitter[obj], 0.0, 1.0)
     cloud = PointCloud(positions, colors, labels)

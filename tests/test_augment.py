@@ -1,7 +1,9 @@
 """Augmentation provenance tests.
 
 Affine expectations are hand-composed in the tests from the same sampled
-parameters; bilinear checks use an independent loop implementation.
+parameters; bilinear checks use an independent loop implementation,
+and `four_gather_bilinear`, the vectorised resample bilinear_sample
+replaced, is its exact reference.
 `dense_map` expands a CoordMap's affine into a full grid of original
 coordinates, and `hash_match` matches two such grids by hashing them into
 unit cells and searching the 3x3 cells around each A pixel's own, which
@@ -50,6 +52,21 @@ def bilinear_oracle(pixels, u, v):
     top = pixels[y0, x0] * (1 - fx) + pixels[y0, x1] * fx
     bot = pixels[y1, x0] * (1 - fx) + pixels[y1, x1] * fx
     return top * (1 - fy) + bot * fy
+
+
+def four_gather_bilinear(pixels, xs, ys):
+    """The resample bilinear_sample replaced: the four corners of every
+    output pixel gathered at once, at coords (xs, ys) that broadcast."""
+    h, w = pixels.shape[:2]
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0)[..., None]
+    fy = (ys - y0)[..., None]
+    top = pixels[y0, x0] * (1.0 - fx) + pixels[y0, x1] * fx
+    bot = pixels[y1, x0] * (1.0 - fx) + pixels[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
 
 
 def dense_map(cmap, width, height):
@@ -237,6 +254,20 @@ class TestAugmentImage:
 def test_crop_out_size_must_be_positive_ints(out_size):
     with pytest.raises(InvalidInput, match="out_size"):
         RandomResizedCrop((0.5, 1.0), out_size)
+
+
+class TestBilinearSample:
+    @pytest.mark.parametrize("h, w", [(12, 16), (1, 7), (9, 1), (64, 64)])
+    def test_equals_the_four_gather_formula_exactly(self, h, w):
+        # random coords off the affine grids, unordered, with both ends
+        # of each axis and whole pixels among them
+        rng = np.random.default_rng(h * 100 + w)
+        pixels = rng.uniform(0, 1, size=(h, w, 3))
+        xs = np.concatenate([[0.0, w - 1.0, w // 2], rng.uniform(0, w - 1, size=20)])
+        ys = np.concatenate([[h - 1.0, 0.0, h // 2], rng.uniform(0, h - 1, size=11)])
+        got = augment.bilinear_sample(pixels, xs, ys)
+        assert got.shape == (ys.size, xs.size, 3)
+        assert np.array_equal(got, four_gather_bilinear(pixels, xs[None, :], ys[:, None]))
 
 
 class TestIdentityResampleSkipped:

@@ -5,6 +5,7 @@ loops and scalar math; the library's vectorized paths must agree exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +424,22 @@ class TestVoxelize:
         np.add.at(counts, (index_map, np.searchsorted(ids, labels)), 1)
         top = np.sort(counts, axis=1)
         assert (top[:, -1] == top[:, -2]).sum() > 100
+
+    def test_vote_memory_grows_with_points_not_voxels_times_labels(self):
+        # 3000 distinct labels over about 2.8k voxels: a (voxel x label)
+        # count table took about 65 MiB
+        rng = np.random.default_rng(14)
+        pts = rng.uniform(0, 0.6, size=(3000, 3))
+        cloud = PointCloud(pts, np.full((3000, 3), 0.5), rng.permutation(3000))
+        tracemalloc.start()
+        try:
+            res = voxelize(cloud, 0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        expected = loop_majority_labels(cloud.labels, res.index_map, len(res.cloud))
+        assert np.array_equal(res.cloud.labels, expected)
 
     def test_idempotence_count_non_increasing(self):
         rng = np.random.default_rng(13)

@@ -12,7 +12,7 @@ import pytest
 from gradcheck import gradient_check
 
 from pixpoint.augment import PointDropout, RotationZ, TransformSpec3D, augment_cloud
-from pixpoint.errors import DegenerateEmbedding, NonFiniteLoss, PixpointError
+from pixpoint.errors import DegenerateEmbedding, InvalidInput, NonFiniteLoss, PixpointError
 from pixpoint.geometry import PointCloud
 from pixpoint.nn import (
     EncoderParams2D,
@@ -294,10 +294,11 @@ class TestConvEncoder:
         encode_images_backward(params, cache, np.ones_like(feats))
         assert calls["bwd"] == [32, 16, 3]
 
-    def test_sampled_backward_peak_stays_below_40_mib(self):
-        # held before the call: the cached padded grids; measured: what the
-        # backward allocates on top of them, about 27 MiB (a backward that
-        # re-pads its activations and output gradients takes about 59)
+    @staticmethod
+    def sampled_backward_peak():
+        """(bytes the backward allocates on top of the cached padded grids,
+        which are held before the call, on 16 64x64 views at 6000 pixels;
+        the cache after the call)"""
         rng = np.random.default_rng(22)
         imgs = rng.uniform(0, 1, size=(16, 64, 64, 3))
         at = np.sort(rng.choice(16 * 64 * 64, size=6000, replace=False))
@@ -310,7 +311,30 @@ class TestConvEncoder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        return peak, cache
+
+    def test_sampled_backward_peak_stays_below_40_mib(self):
+        # about 4 MiB; 14 when each layer's input gradient took a grid of
+        # its own, and about 59 for a backward that re-pads its activations
+        # and output gradients
+        assert self.sampled_backward_peak()[0] < 40 * 2**20
+
+    def test_sampled_backward_writes_gradients_over_the_activations(self):
+        # the ReLU masks (a quarter of a float32 grid each) and small
+        # buffers; a fresh gradient grid per layer took 14.3 MiB
+        peak, cache = self.sampled_backward_peak()
+        assert peak < 6 * 2**20
+        assert cache == {}
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_second_backward_on_a_consumed_cache_raises(self, sampled):
+        params = EncoderParams2D.initialize(11)
+        imgs = np.random.default_rng(12).uniform(0, 1, size=(2, 5, 6, 3))
+        at = np.array([0, 7, 31, 59]) if sampled else None
+        feats, cache = encode_images_forward(params, imgs, at=at)
+        encode_images_backward(params, cache, np.ones_like(feats))
+        with pytest.raises(InvalidInput, match="consumed"):
+            encode_images_backward(params, cache, np.ones_like(feats))
 
 
 class TestConvAtPositions:
@@ -347,8 +371,9 @@ class TestConvAtPositions:
         g = np.random.default_rng(12).normal(size=(at.size, 4))
         g_dense = np.zeros(self.SHAPE[:3] + (4,))
         g_dense.reshape(-1, 4)[at] = g
-        gx, gw, gb = conv3x3_backward(xp, w, padded(g_dense))
-        sx, sw, sb = conv3x3_backward(xp, w, g, at=at)
+        # each call writes its input gradient over the grid it is given
+        gx, gw, gb = conv3x3_backward(xp.copy(), w, padded(g_dense))
+        sx, sw, sb = conv3x3_backward(xp.copy(), w, g, at=at)
         assert sx.shape == xp.shape
         # borders: the gradient of the padding, which the caller discards
         assert np.array_equal(interior(sx), interior(gx))

@@ -22,6 +22,7 @@ bench/tracer.py reads.
 """
 
 import re
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -197,6 +198,31 @@ def step_gradient_error(dataset, monkeypatch, run, encoder, **extra):
 
     start, _ = run(dataset, iterations=1)  # the stub step leaves them initial
     return gradient_check(loss_fn, start, eps=1e-6, rng_seed=3, n_coords=30)
+
+
+def test_stage1_step_peak_stays_below_30_mib():
+    # one iteration at the benchmark's stage-1 sizes: 8 pairs of 64x64
+    # views, 512 pixels each, 16 channels. About 22 MiB, when the encoder's
+    # backward writes each gradient over its activation and the step drops
+    # each array once read; 40 when both were held through the backward.
+    rng = np.random.default_rng(31)
+    images = [Image(rng.uniform(0.0, 1.0, size=(64, 64, 3))) for _ in range(16)]
+    cfg = pipeline.Stage1Config(
+        batch_pairs=8,
+        pixels_per_pair=512,
+        negative_cap=512,
+        iterations=1,
+        spec_a=pipeline.default_spec_2d((64, 64)),
+        spec_b=pipeline.default_spec_2d((64, 64)),
+        seed=32,
+    )
+    tracemalloc.start()
+    try:
+        pipeline.pretrain_2d(images, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_stage1_cap_above_the_batch_scores_all_in_batch(dataset, monkeypatch):

@@ -123,6 +123,33 @@ class TestGenerateScene:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("seed, n_objects", [(0, 0), (4, 3), (5, 6)])
+    def test_rect_areas_match_the_per_rect_formula(self, monkeypatch, seed, n_objects):
+        rects, probs = [], []
+        real_rect, real_rng_for = synthdata.Rect, synthdata.rng_for
+
+        def recording_rect(*args):
+            rects.append(real_rect(*args))
+            return rects[-1]
+
+        class ChoiceRecorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def choice(self, *args, p=None, **kwargs):
+                probs.append(p)
+                return self.rng.choice(*args, p=p, **kwargs)
+
+        monkeypatch.setattr(synthdata, "Rect", recording_rect)
+        monkeypatch.setattr(synthdata, "rng_for", lambda *a: ChoiceRecorder(real_rng_for(*a)))
+        generate_scene(small_cfg(seed=seed, n_objects=n_objects))
+        areas = np.array([float(np.linalg.norm(np.cross(r.e1, r.e2))) for r in rects])
+        (p,) = probs
+        assert np.array_equal(p, areas / areas.sum())
+
     def test_label_coverage(self):
         for seed in range(5):
             scene = generate_scene(small_cfg(seed=seed, n_objects=3))
