@@ -19,7 +19,7 @@ maps A's coordinates through B's inverse affine to the few B pixels
 within 0.5 px, and a column pair and a row pair match when their squared
 distances sum to at most 0.25. Distance alone decides a match. The
 matches are listed by (row pair, column pair), the order the sample is
-drawn from, so a seed always samples the same pairs.
+drawn from, so a generator in one state always samples the same pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import DegenerateCrop, EmptyCloud, EmptyOverlap, InvalidInput
 from .geometry import Image, PointCloud, _readonly
-from .rngutil import rng_for
 
 LUMA = np.array([0.299, 0.587, 0.114])
 
@@ -222,13 +221,12 @@ def _apply_jitter(pixels, op, rng):
     return np.clip(out, 0.0, 1.0)
 
 
-def augment_image(img: Image, spec: TransformSpec2D, rng_seed: int):
+def augment_image(img: Image, spec: TransformSpec2D, rng: np.random.Generator):
     """Apply spec in order; returns (augmented Image, CoordMap to original).
 
-    Deterministic: identical (img, spec, rng_seed) give bit-identical
-    outputs. Parameters are drawn from the seed in op order.
+    Draws each op's parameters, in op order, from the generator it is
+    given only, so generators in equal states give bit-identical outputs.
     """
-    rng = rng_for(rng_seed, "augment2d")
     base = np.asarray(img.pixels, dtype=np.float64)
     total = np.eye(3)  # base coords -> original coords
     affine = np.eye(3)  # output grid -> base coords
@@ -305,12 +303,13 @@ def _axis_pairs(map_a: CoordMap, map_b: CoordMap, axis: int):
     return a, cand[a, k], d2[a, k]
 
 
-def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed: int):
+def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng: np.random.Generator):
     """Output-pixel pairs whose original coordinates coincide within 0.5 px.
 
     Returns (pixels_a, pixels_b): two (n, 2) int arrays of (column, row)
     output coordinates with n = min(count, number of matches), sampled
-    uniformly without replacement. Raises EmptyOverlap when no pixel of
+    uniformly without replacement by the generator it is given; it draws
+    nothing when n is every match. Raises EmptyOverlap when no pixel of
     B lies within 0.5 px of a pixel of A.
     """
     if count < 1:
@@ -323,15 +322,16 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng_seed
     if iy.size == 0:
         raise EmptyOverlap("no source coordinates coincide within 0.5 px")
     if iy.size > count:
-        pick = rng_for(rng_seed, "match").choice(iy.size, size=count, replace=False)
+        pick = rng.choice(iy.size, size=count, replace=False)
         ix, iy = ix[pick], iy[pick]
     return np.stack([xa[ix], ya[iy]], axis=1), np.stack([xb[ix], yb[iy]], axis=1)
 
 
 # ── 3D augmentation ──────────────────────────────────────────────────────
 
-def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
-    """Apply spec in order; returns (cloud, index_map).
+def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng: np.random.Generator):
+    """Apply spec in order; returns (cloud, index_map). Draws each op's
+    parameters, in op order, from the generator it is given only.
 
     index_map sends each original point to its output row, -1 if dropped;
     no op reorders points. Stage 2 matches a scan to pixels before this
@@ -339,7 +339,6 @@ def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng_seed: int):
     """
     if len(cloud) == 0:
         raise InvalidInput("cloud must be nonempty")
-    rng = rng_for(rng_seed, "augment3d")
     pos = np.array(cloud.positions)
     col = np.array(cloud.colors)
     lab = None if cloud.labels is None else np.array(cloud.labels)

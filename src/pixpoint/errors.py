@@ -25,7 +25,8 @@ class DegenerateCrop(PixpointError):
 
 
 class EmptyOverlap(PixpointError):
-    """Two augmented views share no source pixels within tolerance."""
+    """Two augmented views share no source pixels within tolerance, or a
+    stage-2 slot keeps fewer than two of its scan's matched points."""
 
 
 class EmptyCloud(PixpointError):

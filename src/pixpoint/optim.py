@@ -30,18 +30,20 @@ class OptimConfig:
     decay_every: int = 100
 
     def __post_init__(self):
-        if not self.lr0 >= 0:
-            raise InvalidInput(f"lr0 must be nonnegative, got {self.lr0}")
+        # NaN fails every test below, and inf every upper bound
+        if not 0.0 <= self.lr0 < np.inf:
+            raise InvalidInput(f"lr0 must be finite and nonnegative, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidInput(f"momentum must be in [0,1), got {self.momentum}")
         if not 0.0 <= self.dampening <= 1.0:
             raise InvalidInput(f"dampening must be in [0,1], got {self.dampening}")
-        if self.weight_decay < 0:
-            raise InvalidInput(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise InvalidInput(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidInput(f"gamma must be in (0,1], got {self.gamma}")
-        if self.decay_every < 1:
-            raise InvalidInput(f"decay_every must be >= 1, got {self.decay_every}")
+        every = self.decay_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise InvalidInput(f"decay_every must be an int >= 1, got {every!r}")
 
 
 @dataclass

@@ -24,15 +24,25 @@ rows, and each query excludes its own row and its own positive from it.
 Stage 1 pools a random subset of its rows, stage 2 a prefix: the points,
 or the points and the pixels.
 
-Both stages are bit-deterministic given their config: every random draw
-derives from (seed, stage, iteration, slot) so a failed batch can be
-rebuilt in isolation.
-
 Both run the same SGD loop, `_train`. It owns the optimiser state, the
-iteration rng and batch picks, the histories and timings, the context of
-`NonFiniteLoss` and the `TrainReport`. A stage supplies only its batch
-step, `step(it, rng_iter, picks) -> (LossOutput, enc_grads, head_grads,
-n_skipped)`. The driver and the steps are private and reach every layer
+random streams, the batch picks, the slot loop, the histories and
+timings, the context of `NonFiniteLoss` and the `TrainReport`. A stage
+supplies two callbacks. `make_slot(item, rng)` builds one slot from the
+picked dataset item, drawing only from rng; it raises EmptyOverlap or
+EmptyCloud when the slot yields nothing, and the driver counts and logs
+the skip. `score(slots, rng_iter) -> (LossOutput, enc_grads, head_grads)`
+scores the batch of surviving slots, in pick order, and may empty the
+list to free the slots early.
+
+Both stages are bit-deterministic given their config. Iteration it draws
+its picks, then stage 1 its negative pool, from rng_iter = rng_for(seed,
+f"stage{s}", it); slot k of it draws everything from its own stream,
+rng_for(seed, f"stage{s}", it).spawn(batch_pairs)[k], so a failed slot
+can be rebuilt in isolation from (seed, stage, iteration, slot). A
+stage-1 slot whose views do not overlap draws new views from the same
+stream, up to MAX_PAIR_RETRIES times.
+
+The driver and the callbacks are private and reach every layer
 through this module's globals: `bench/tracer.py` wraps each public
 function this module holds, so a public driver would become the parent
 span of every layer call, and tests substitute `info_nce` or `sgd_step`
@@ -78,7 +88,7 @@ from .nn import (
     point_forward,
 )
 from .optim import OptimConfig, OptimState, sgd_step
-from .rngutil import derive_seed, derive_seeds, rng_for
+from .rngutil import derive_seed, rng_for
 
 log = logging.getLogger(__name__)
 
@@ -229,10 +239,10 @@ def _prefixed(enc: dict, head: dict) -> dict:
     return {**{f"enc.{k}": v for k, v in enc.items()}, **{f"head.{k}": v for k, v in head.items()}}
 
 
-def _train(stage: int, cfg, enc, head, audit: _NormAudit, n_items: int, step) -> TrainReport:
+def _train(stage: int, cfg, enc, head, audit: _NormAudit, items: list, make_slot, score) -> TrainReport:
     """Train (enc, head) in place for cfg.iterations steps, each on a batch
-    of cfg.batch_pairs picks among n_items dataset items (step contract: see
-    the module docstring)."""
+    of cfg.batch_pairs slots drawn from picks among items (make_slot and
+    score: see the module docstring)."""
     params = _prefixed(enc.tensors(), head.tensors())
     state = OptimState()
     losses, gaps, lrs, seconds = (np.zeros(cfg.iterations) for _ in range(4))
@@ -241,15 +251,23 @@ def _train(stage: int, cfg, enc, head, audit: _NormAudit, n_items: int, step) ->
     for it in range(cfg.iterations):
         t0 = time.perf_counter()
         rng_iter = rng_for(cfg.seed, f"stage{stage}", it)
-        picks = rng_iter.integers(0, n_items, size=cfg.batch_pairs)
+        picks = rng_iter.integers(0, len(items), size=cfg.batch_pairs)
+        slots = []
+        for k, (pick, rng) in enumerate(zip(picks.tolist(), rng_iter.spawn(cfg.batch_pairs))):
+            try:
+                slots.append(make_slot(items[pick], rng))
+            except (EmptyOverlap, EmptyCloud) as e:
+                skipped += 1
+                log.warning("iteration %d: slot %d skipped (%s)", it, k, e)
+        if not slots:
+            raise IterationStarved(f"iteration {it}: every pair of the batch was skipped")
         try:
-            out, enc_grads, head_grads, n_skipped = step(it, rng_iter, picks)
+            out, enc_grads, head_grads = score(slots, rng_iter)
         except FloatingPointError as e:  # only info_nce raises it
             raise NonFiniteLoss(
                 f"stage {stage} iteration {it}: {e}; replay with seed={cfg.seed}, "
                 f"{'image' if stage == 1 else 'pair'} indices {picks.tolist()}"
             ) from None
-        skipped += n_skipped
 
         lrs[it] = sgd_step(params, _prefixed(enc_grads, head_grads), state, cfg.optim)
         losses[it] = out.total
@@ -300,39 +318,26 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
     head = HeadParams.initialize(cfg.seed, cfg.feature_dim, cfg.embed_dim)
     audit = _NormAudit()
 
-    def sample(it, picks):
-        """(the batch's views stacked in float64, the sampled pixels of its
-        A sides then its B sides, the count of skipped pairs)"""
-        skipped = 0
-        views = []
-        sel_a = []  # (pixels (P,2)) per pair, view index 2k
-        sel_b = []
-        for k, img_idx in enumerate(picks):
-            img = dataset[int(img_idx)]
-            for attempt in range(MAX_PAIR_RETRIES):
-                # view a, view b and the match: one seed derivation per attempt
-                seed_a, seed_b, seed_m = derive_seeds(cfg.seed, 3, "s1", it, k, attempt)
-                view_a, map_a = augment_image(img, cfg.spec_a, seed_a)
-                view_b, map_b = augment_image(img, cfg.spec_b, seed_b)
-                try:
-                    pix_a, pix_b = match_positive_pixels(map_a, map_b, cfg.pixels_per_pair, seed_m)
-                except EmptyOverlap:
-                    continue
-                views.append(view_a.pixels)
-                views.append(view_b.pixels)
-                sel_a.append(pix_a)
-                sel_b.append(pix_b)
-                break
-            else:
-                skipped += 1
-                log.warning("iteration %d: pair %d skipped after %d retries", it, k, MAX_PAIR_RETRIES)
-        if not sel_a:
-            raise IterationStarved(f"iteration {it}: every pair of the batch was skipped")
-        return np.stack(views), sel_a + sel_b, skipped
+    def make_slot(img, rng):
+        """(view a, view b, their sampled pixels a, b): views are drawn again
+        from the slot's stream until two overlap, at most MAX_PAIR_RETRIES
+        times."""
+        for _ in range(MAX_PAIR_RETRIES):
+            view_a, map_a = augment_image(img, cfg.spec_a, rng)
+            view_b, map_b = augment_image(img, cfg.spec_b, rng)
+            try:
+                pix = match_positive_pixels(map_a, map_b, cfg.pixels_per_pair, rng)
+            except EmptyOverlap:
+                continue
+            return (view_a.pixels, view_b.pixels, *pix)
+        raise EmptyOverlap(f"no two views overlapped in {MAX_PAIR_RETRIES} tries")
 
-    def step(it, rng_iter, picks):
-        # row layout: all query pixels (A sides), then all positives (B sides)
-        batch, sel, skipped = sample(it, picks)
+    def score(slots, rng_iter):
+        # batch: the views in slot order, a then b; rows: all query pixels
+        # (A sides), then all positives (B sides)
+        batch = np.stack([view for slot in slots for view in slot[:2]])
+        sel = [slot[2] for slot in slots] + [slot[3] for slot in slots]
+        slots.clear()  # so that the float64 views die with batch
         pix = np.concatenate(sel)
         view_ids = np.repeat(np.r_[0 : len(batch) : 2, 1 : len(batch) : 2], [len(p) for p in sel])
 
@@ -363,9 +368,9 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         np.add.at(grad_feats, inv[repeats], grad_sel[repeats])
         del grad_sel
         enc_grads = encode_images_backward(enc, conv_cache, grad_feats)
-        return out, enc_grads, head_grads, skipped
+        return out, enc_grads, head_grads
 
-    return enc, head, _train(1, cfg, enc, head, audit, len(dataset), step)
+    return enc, head, _train(1, cfg, enc, head, audit, dataset, make_slot, score)
 
 
 # ── stage 2 ──────────────────────────────────────────────────────────────
@@ -432,48 +437,29 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     # pool rows per query: its points, or its points and their pixels
     pool_width = 1 if cfg.negative_source == POINTS_ONLY else 2
 
-    def step(it, rng_iter, picks):
-        skipped = 0
-        caches = []
-        feats_chunks = []
-        pos_chunks = []
-        # every slot's seeds in one run of calls: interleaved with the slots'
-        # array work, the same calls took about twice as long
-        aug_seeds = [derive_seed(cfg.seed, "s2aug", it, k) for k in range(len(picks))]
-        pick_rngs = [rng_for(cfg.seed, "s2pick", it, k) for k in range(len(picks))]
-        for k, pair_idx in enumerate(picks.tolist()):
-            vox, point_index, targets = pairs[pair_idx]
-            try:
-                cloud_aug, index_map = augment_cloud(vox, cfg.spec3d, aug_seeds[k])
-            except EmptyCloud as e:
-                skipped += 1
-                log.warning("iteration %d: slot %d skipped (%s)", it, k, e)
-                continue
-            rows = index_map[point_index]  # -1 where dropout removed a winner
-            alive = np.flatnonzero(rows >= 0)
-            if alive.size < 2:
-                skipped += 1
-                log.warning("iteration %d: slot %d yielded %d correspondences", it, k, alive.size)
-                continue
-            n_take = min(cfg.correspondences_per_pair, alive.size)
-            pick = alive[pick_rngs[k].choice(alive.size, size=n_take, replace=False)]
+    def make_slot(entry, rng):
+        """(the point encoder's rows at the slot's sampled points, its cache,
+        their positives)"""
+        vox, point_index, targets = entry
+        cloud_aug, index_map = augment_cloud(vox, cfg.spec3d, rng)
+        rows = index_map[point_index]  # -1 where dropout removed a winner
+        alive = np.flatnonzero(rows >= 0)
+        if alive.size < 2:
+            raise EmptyOverlap(f"{alive.size} of the scan's matches survived dropout")
+        n_take = min(cfg.correspondences_per_pair, alive.size)
+        pick = alive[rng.choice(alive.size, size=n_take, replace=False)]
 
-            table_rows = winners[id(vox)]
-            if id(vox) not in tables:
-                width = NEIGHBOUR_TABLE_FACTOR * enc.k
-                tables[id(vox)] = knn_indices(vox.positions, width, by_distance=True, rows=table_rows)
-            nb = knn_from_table(
-                tables[id(vox)], table_rows, index_map, vox.positions, enc.k, point_index[pick]
-            )
-            out, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb, rows[pick])
-            feats_chunks.append(out)
-            pos_chunks.append(targets[pick])
-            caches.append(cache)
-        if not caches:
-            raise IterationStarved(f"iteration {it}: every pair of the batch was skipped")
+        table_rows = winners[id(vox)]
+        if id(vox) not in tables:
+            width = NEIGHBOUR_TABLE_FACTOR * enc.k
+            tables[id(vox)] = knn_indices(vox.positions, width, by_distance=True, rows=table_rows)
+        nb = knn_from_table(tables[id(vox)], table_rows, index_map, vox.positions, enc.k, point_index[pick])
+        feats, cache = point_forward(enc, cloud_aug.positions, cloud_aug.colors, nb, rows[pick])
+        return feats, cache, targets[pick]
 
-        sel_feats = np.concatenate(feats_chunks)
-        zq, head_cache = head_forward(head, sel_feats)
+    def score(slots, rng_iter):
+        feats_chunks, caches, pos_chunks = zip(*slots)
+        zq, head_cache = head_forward(head, np.concatenate(feats_chunks))
         audit.take(zq)
         n = zq.shape[0]
         z = np.concatenate([zq, *pos_chunks])
@@ -482,19 +468,14 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         # the frozen targets receive no gradient: their rows grad_z[n:] are dropped
         grad_sel, head_grads = head_backward(head, head_cache, grad_z[:n])
         # the slots' gradients are summed into the first slot's arrays
-        enc_grads = None
-        offset = 0
-        for cache, feats in zip(caches, feats_chunks):
-            g = point_backward(enc, cache, grad_sel[offset : offset + feats.shape[0]])
-            offset += feats.shape[0]
-            if enc_grads is None:
-                enc_grads = g
-            else:
-                for name, grad in g.items():
-                    enc_grads[name] += grad
-        return out, enc_grads, head_grads, skipped
+        rows = np.split(grad_sel, np.cumsum([len(f) for f in feats_chunks[:-1]]))
+        enc_grads = point_backward(enc, caches[0], rows[0])
+        for cache, slot_rows in zip(caches[1:], rows[1:]):
+            for name, grad in point_backward(enc, cache, slot_rows).items():
+                enc_grads[name] += grad
+        return out, enc_grads, head_grads
 
-    report = _train(2, cfg, enc, head, audit, len(pairs), step)
+    report = _train(2, cfg, enc, head, audit, pairs, make_slot, score)
     report.frozen_checksum_start = checksum_start
     report.frozen_checksum_end = checkpoint_checksum(frozen_tensors)
     return enc, head, report

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from pixpoint.errors import NonFiniteLoss
@@ -13,13 +11,16 @@ from pixpoint.rngutil import rng_for
 def gradient_check(loss_fn, params: dict, eps: float = 1e-4, rng_seed: int = 0, n_coords: int = 200):
     """Max relative error between analytic and numeric gradients.
 
-    loss_fn maps a name->tensor dict to (scalar loss, name->gradient dict)
-    and must be deterministic. Checks a random subsample of n_coords
-    parameter coordinates (all coordinates if there are fewer).
+    loss_fn maps a name->tensor dict to (loss, name->gradient dict) and
+    must be deterministic. The loss is a scalar, or an array of terms
+    whose sum is the loss: those are differenced term by term and then
+    summed, so the rounding of a large sum stays out of the difference.
+    Checks a random subsample of n_coords parameter coordinates (all
+    coordinates if there are fewer).
     """
     work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     loss, grads = loss_fn(work)
-    if not math.isfinite(loss):
+    if not np.all(np.isfinite(loss)):
         raise NonFiniteLoss(f"loss at the base point is {loss}")
 
     flat = [(name, i) for name, v in work.items() for i in range(v.size)]
@@ -37,9 +38,9 @@ def gradient_check(loss_fn, params: dict, eps: float = 1e-4, rng_seed: int = 0, 
         tensor[i] = keep - eps
         f_minus, _ = loss_fn(work)
         tensor[i] = keep
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
             raise NonFiniteLoss(f"perturbed loss non-finite at {name}[{i}]")
-        numeric = (f_plus - f_minus) / (2.0 * eps)
+        numeric = float(np.sum(np.subtract(f_plus, f_minus))) / (2.0 * eps)
         analytic = float(grads[name].ravel()[i])
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, rel)

@@ -33,7 +33,6 @@ from pixpoint.augment import (
 )
 from pixpoint.errors import DegenerateCrop, EmptyCloud, EmptyOverlap, InvalidInput
 from pixpoint.geometry import Image, PointCloud
-from pixpoint.rngutil import rng_for
 
 
 def checker_image(w=16, h=12, seed=0):
@@ -149,7 +148,7 @@ def hash_match(map_a, map_b):
 class TestAugmentImage:
     def test_empty_spec_is_identity(self):
         img = checker_image()
-        out, cmap = augment_image(img, TransformSpec2D(()), rng_seed=0)
+        out, cmap = augment_image(img, TransformSpec2D(()), np.random.default_rng(0))
         assert np.array_equal(out.pixels, img.pixels)
         ident = CoordMap.identity(img.width, img.height)
         assert np.array_equal(dense_src(cmap), dense_src(ident))
@@ -157,7 +156,7 @@ class TestAugmentImage:
 
     def test_forced_flip_mirror_formula(self):
         img = checker_image(w=9, h=5)
-        out, cmap = augment_image(img, TransformSpec2D((HorizontalFlip(p=1.0),)), rng_seed=3)
+        out, cmap = augment_image(img, TransformSpec2D((HorizontalFlip(p=1.0),)), np.random.default_rng(3))
         xs, ys = np.meshgrid(np.arange(9.0), np.arange(5.0))
         src = dense_src(cmap)
         assert np.allclose(src[..., 0], 8.0 - xs)
@@ -170,10 +169,10 @@ class TestAugmentImage:
             (RandomResizedCrop(scale_range=(0.25, 0.5), out_size=(20, 20)), HorizontalFlip(p=1.0))
         )
         seed = 42
-        _, cmap = augment_image(img, spec, rng_seed=seed)
+        _, cmap = augment_image(img, spec, np.random.default_rng(seed))
 
         # replay the parameter draws, then compose the affines by hand
-        rng = rng_for(seed, "augment2d")
+        rng = np.random.default_rng(seed)
         scale = rng.uniform(0.25, 0.5)
         cw = int(np.floor(np.sqrt(scale) * 20 + 0.5))
         ch = int(np.floor(np.sqrt(scale) * 20 + 0.5))
@@ -199,7 +198,7 @@ class TestAugmentImage:
                 RandomResizedCrop(scale_range=(0.5, 1.0), out_size=(12, 10)),
             )
         )
-        out, cmap = augment_image(img, spec, rng_seed=9)
+        out, cmap = augment_image(img, spec, np.random.default_rng(9))
         src = dense_src(cmap)
         for y in range(out.height):
             for x in range(out.width):
@@ -217,31 +216,31 @@ class TestAugmentImage:
                 Grayscale(0.5),
             )
         )
-        out1, map1 = augment_image(img, spec, rng_seed=77)
-        out2, map2 = augment_image(img, spec, rng_seed=77)
+        out1, map1 = augment_image(img, spec, np.random.default_rng(77))
+        out2, map2 = augment_image(img, spec, np.random.default_rng(77))
         assert np.array_equal(out1.pixels, out2.pixels)
         assert np.array_equal(dense_src(map1), dense_src(map2))
-        out3, _ = augment_image(img, spec, rng_seed=78)
+        out3, _ = augment_image(img, spec, np.random.default_rng(78))
         assert not np.array_equal(out1.pixels, out3.pixels)
 
     def test_composition_order_matters(self):
         img = checker_image(w=20, h=20, seed=8)
         crop = RandomResizedCrop((0.25, 0.25), (20, 20))
         flip = HorizontalFlip(p=1.0)
-        _, map_cf = augment_image(img, TransformSpec2D((crop, flip)), rng_seed=123)
-        _, map_fc = augment_image(img, TransformSpec2D((flip, crop)), rng_seed=123)
+        _, map_cf = augment_image(img, TransformSpec2D((crop, flip)), np.random.default_rng(123))
+        _, map_fc = augment_image(img, TransformSpec2D((flip, crop)), np.random.default_rng(123))
         assert not np.allclose(dense_src(map_cf), dense_src(map_fc))
 
     def test_degenerate_crop_raises(self):
         img = checker_image(w=4, h=4)
         spec = TransformSpec2D((RandomResizedCrop((0.001, 0.001), (4, 4)),))
         with pytest.raises(DegenerateCrop):
-            augment_image(img, spec, rng_seed=0)
+            augment_image(img, spec, np.random.default_rng(0))
 
     def test_photometric_ops_keep_identity_coordmap(self):
         img = checker_image(seed=10)
         spec = TransformSpec2D((ColorJitter((0.5, 1.5), None, None), Grayscale(1.0)))
-        out, cmap = augment_image(img, spec, rng_seed=1)
+        out, cmap = augment_image(img, spec, np.random.default_rng(1))
         ident = CoordMap.identity(img.width, img.height)
         assert np.array_equal(dense_src(cmap), dense_src(ident))
         # grayscale forced: equal channels
@@ -289,7 +288,8 @@ class TestIdentityResampleSkipped:
     def always_resampled(img, ops, seed, size):
         # a full-window crop to the final size is the identity map, drawn
         # after every other parameter; it only forces the final resample
-        return augment_image(img, TransformSpec2D(ops + (RandomResizedCrop((1.0, 1.0), size),)), seed)
+        spec = TransformSpec2D(ops + (RandomResizedCrop((1.0, 1.0), size),))
+        return augment_image(img, spec, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_equals_always_resampling_and_counts_calls(self, monkeypatch, name):
@@ -305,7 +305,7 @@ class TestIdentityResampleSkipped:
         img = checker_image(w=16, h=12, seed=13)
         for seed in range(6):
             del calls[:]
-            out, cmap = augment_image(img, TransformSpec2D(ops), rng_seed=seed)
+            out, cmap = augment_image(img, TransformSpec2D(ops), np.random.default_rng(seed))
             assert len(calls) == expected_calls
             ref, ref_map = self.always_resampled(img, ops, seed, (out.width, out.height))
             assert np.array_equal(out.pixels, ref.pixels)
@@ -317,7 +317,7 @@ class TestIdentityResampleSkipped:
 class TestMatchPositivePixels:
     def test_identity_maps_give_identical_coords(self):
         m = CoordMap.identity(8, 8)
-        pa, pb = match_positive_pixels(m, m, count=10, rng_seed=0)
+        pa, pb = match_positive_pixels(m, m, count=10, rng=np.random.default_rng(0))
         assert pa.shape == (10, 2)
         assert np.array_equal(pa, pb)
 
@@ -325,13 +325,13 @@ class TestMatchPositivePixels:
         a = CoordMap.identity(8, 8)
         shifted = CoordMap(a.affine + [[0.0, 0.0, 100.0], [0.0, 0.0, 100.0], [0.0, 0.0, 0.0]], 8, 8)
         with pytest.raises(EmptyOverlap):
-            match_positive_pixels(a, shifted, count=4, rng_seed=0)
+            match_positive_pixels(a, shifted, count=4, rng=np.random.default_rng(0))
 
     def test_matches_agree_with_exhaustive_scan(self):
         img = checker_image(w=20, h=20, seed=12)
         spec = TransformSpec2D((RandomResizedCrop((0.5, 0.9), (14, 14)), HorizontalFlip(0.5)))
-        _, map_a = augment_image(img, spec, rng_seed=31)
-        _, map_b = augment_image(img, spec, rng_seed=32)
+        _, map_a = augment_image(img, spec, np.random.default_rng(31))
+        _, map_b = augment_image(img, spec, np.random.default_rng(32))
         src_a, src_b = dense_src(map_a), dense_src(map_b)
 
         # brute force: every (a, b) output-pixel pair within 0.5 px
@@ -345,19 +345,19 @@ class TestMatchPositivePixels:
                             expect.add((ax, ay, bx, by))
         assert expect, "fixture should overlap"
 
-        pa, pb = match_positive_pixels(map_a, map_b, count=10**6, rng_seed=5)
+        pa, pb = match_positive_pixels(map_a, map_b, count=10**6, rng=np.random.default_rng(5))
         got = {(int(a[0]), int(a[1]), int(b[0]), int(b[1])) for a, b in zip(pa, pb)}
         assert got == expect
 
     def test_returns_fewer_when_few_matches(self):
         m = CoordMap.identity(3, 3)
-        pa, pb = match_positive_pixels(m, m, count=50, rng_seed=0)
+        pa, pb = match_positive_pixels(m, m, count=50, rng=np.random.default_rng(0))
         assert pa.shape[0] == 9
 
     def test_count_below_one_raises(self):
         m = CoordMap.identity(3, 3)
         with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
-            match_positive_pixels(m, m, count=0, rng_seed=0)
+            match_positive_pixels(m, m, count=0, rng=np.random.default_rng(0))
 
 
 def _chain(size):
@@ -391,12 +391,12 @@ def assert_same_matches(map_a, map_b, image_size, seed, counts=(10**6,)):
         want = hash_match(dense_map(map_a, *image_size), dense_map(map_b, *image_size))
     except EmptyOverlap:
         with pytest.raises(EmptyOverlap):
-            match_positive_pixels(map_a, map_b, counts[0], seed)
+            match_positive_pixels(map_a, map_b, counts[0], np.random.default_rng(seed))
         return False
     want_keys = pair_keys(*want)
     assert np.unique(want_keys).size == want_keys.size
     for count in counts:
-        got = match_positive_pixels(map_a, map_b, count, seed)
+        got = match_positive_pixels(map_a, map_b, count, np.random.default_rng(seed))
         assert all(g.dtype == w.dtype for g, w in zip(got, want))
         got = pair_keys(*got)
         assert np.unique(got).size == got.size == min(count, want_keys.size)
@@ -412,8 +412,8 @@ class TestAgainstHashMatcher:
         img = checker_image(w=64, h=64, seed=14)
         spec = pipeline.default_spec_2d()
         for seed in range(120):
-            _, map_a = augment_image(img, spec, 2 * seed)
-            _, map_b = augment_image(img, spec, 2 * seed + 1)
+            _, map_a = augment_image(img, spec, np.random.default_rng(2 * seed))
+            _, map_b = augment_image(img, spec, np.random.default_rng(2 * seed + 1))
             assert assert_same_matches(map_a, map_b, (64, 64), seed, (512, 10**6))
 
     @pytest.mark.parametrize("name_a", sorted(CHAINED_SPECS))
@@ -422,8 +422,8 @@ class TestAgainstHashMatcher:
         matched = wide = 0
         for name_b, spec_b in sorted(CHAINED_SPECS.items()):
             for seed in range(20):
-                _, map_a = augment_image(img, CHAINED_SPECS[name_a], 2 * seed)
-                _, map_b = augment_image(img, spec_b, 2 * seed + 1)
+                _, map_a = augment_image(img, CHAINED_SPECS[name_a], np.random.default_rng(2 * seed))
+                _, map_b = augment_image(img, spec_b, np.random.default_rng(2 * seed + 1))
                 hit = assert_same_matches(map_a, map_b, (64, 48), seed, (50, 10**6))
                 matched += hit
                 wide += hit and min(abs(map_b.affine[0, 0]), abs(map_b.affine[1, 1])) < 0.5
@@ -452,7 +452,7 @@ class TestAgainstHashMatcher:
         assert assert_same_matches(map_a, map_b, (48, 48), 0)
         assert assert_same_matches(map_b, map_a, (48, 48), 0)
         for first, second in ((map_a, map_b), (map_b, map_a)):
-            pixels_a, pixels_b = match_positive_pixels(first, second, 10**6, 0)
+            pixels_a, pixels_b = match_positive_pixels(first, second, 10**6, np.random.default_rng(0))
             assert pair_keys([[16, 0]], [[16, 0]])[0] in pair_keys(pixels_a, pixels_b)
 
     def test_disjoint_views_raise_on_both(self):
@@ -470,7 +470,7 @@ def test_views_map_into_the_original(name):
     img = checker_image(w=64, h=48, seed=16)
     spec = CHAINED_SPECS.get(name, pipeline.default_spec_2d())
     for seed in range(40):
-        _, cmap = augment_image(img, spec, seed)
+        _, cmap = augment_image(img, spec, np.random.default_rng(seed))
         w, h = cmap.width - 1, cmap.height - 1
         u, v, _ = cmap.affine @ np.array([[0, w, 0, w], [0, 0, h, h], [1, 1, 1, 1]], dtype=np.float64)
         assert u.min() >= -1e-9 and u.max() <= 63 + 1e-9
@@ -516,19 +516,19 @@ class TestAugmentCloud:
     def test_identity_spec(self):
         c = self.cloud()
         spec = TransformSpec3D((RotationZ((0.0, 0.0)), PointDropout(1.0)))
-        out, index_map = augment_cloud(c, spec, rng_seed=0)
+        out, index_map = augment_cloud(c, spec, np.random.default_rng(0))
         assert np.allclose(out.positions, c.positions)
         assert np.array_equal(index_map, np.arange(100))
 
     def test_quarter_turn(self):
         c = PointCloud(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)))
         halfpi = np.pi / 2.0
-        out, _ = augment_cloud(c, TransformSpec3D((RotationZ((halfpi, halfpi)),)), 0)
+        out, _ = augment_cloud(c, TransformSpec3D((RotationZ((halfpi, halfpi)),)), np.random.default_rng(0))
         assert np.allclose(out.positions[0], (0.0, 1.0, 0.0), atol=1e-9)
 
     def test_dropout_survivors_within_3_sigma(self):
         c = self.cloud(n=10_000, seed=1)
-        out, index_map = augment_cloud(c, TransformSpec3D((PointDropout(0.5),)), rng_seed=2)
+        out, index_map = augment_cloud(c, TransformSpec3D((PointDropout(0.5),)), np.random.default_rng(2))
         sigma = np.sqrt(10_000 * 0.25)
         assert abs(len(out) - 5000) < 3 * sigma
         kept = index_map[index_map >= 0]
@@ -538,7 +538,7 @@ class TestAugmentCloud:
     def test_two_rotations_compose_to_one_about_z(self):
         c = self.cloud(n=50, seed=3)
         spec = TransformSpec3D((RotationZ((0.0, 6.0)), RotationZ((0.0, 6.0))))
-        out, _ = augment_cloud(c, spec, rng_seed=7)
+        out, _ = augment_cloud(c, spec, np.random.default_rng(7))
         assert np.allclose(out.positions[:, 2], c.positions[:, 2], atol=1e-12)
         radius = np.linalg.norm(c.positions[:, :2], axis=1)
         assert np.allclose(np.linalg.norm(out.positions[:, :2], axis=1), radius, atol=1e-12)
@@ -551,7 +551,7 @@ class TestAugmentCloud:
     def test_jitter_clamps_and_keeps_geometry(self):
         c = self.cloud(n=200, seed=4)
         spec = TransformSpec3D((ColorJitter((0.0, 3.0), (0.0, 3.0), (0.0, 3.0)),))
-        out, _ = augment_cloud(c, spec, rng_seed=11)
+        out, _ = augment_cloud(c, spec, np.random.default_rng(11))
         assert out.colors.min() >= 0.0 and out.colors.max() <= 1.0
         assert np.array_equal(out.positions, c.positions)
 
@@ -559,12 +559,12 @@ class TestAugmentCloud:
         c = self.cloud(n=5, seed=5)
         with pytest.raises(EmptyCloud):
             # keep_prob tiny: with this seed every point drops
-            augment_cloud(c, TransformSpec3D((PointDropout(1e-12),)), rng_seed=0)
+            augment_cloud(c, TransformSpec3D((PointDropout(1e-12),)), np.random.default_rng(0))
 
     def test_empty_cloud_raises(self):
         empty = PointCloud(np.empty((0, 3)), np.empty((0, 3)))
         with pytest.raises(InvalidInput, match="^cloud must be nonempty$"):
-            augment_cloud(empty, TransformSpec3D(()), rng_seed=0)
+            augment_cloud(empty, TransformSpec3D(()), np.random.default_rng(0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

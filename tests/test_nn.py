@@ -850,7 +850,7 @@ class TestKnnFromTable:
         grid = integer_grid()
         cloud = PointCloud(grid, np.full(grid.shape, 0.5))
         spec = TransformSpec3D((RotationZ(angle_range=(0.1, 6.0)), PointDropout(keep_prob=0.8)))
-        _, index_map = augment_cloud(cloud, spec, seed)
+        _, index_map = augment_cloud(cloud, spec, np.random.default_rng(seed))
         picked = np.flatnonzero(index_map >= 0)[::3]
         table = knn_indices(grid, 3 * self.K, by_distance=True, rows=picked)
         got = knn_from_table(table, picked, index_map, grid, self.K, picked)

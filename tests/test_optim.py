@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pixpoint.errors import NonFiniteGradient, ShapeError
+from pixpoint.errors import InvalidInput, NonFiniteGradient, ShapeError
 from pixpoint.optim import OptimConfig, OptimState, lr_schedule, sgd_step
 
 
@@ -119,3 +119,22 @@ class TestSchedule:
             OptimConfig(lr0=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             OptimConfig(lr0=0.1, gamma=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr0", np.inf),
+            ("weight_decay", np.nan),
+            ("weight_decay", np.inf),
+            ("decay_every", 2.5),
+            ("decay_every", 4.0),
+            ("decay_every", True),
+        ],
+    )
+    def test_config_rejects_non_finite_rates_and_non_int_decay_every(self, field, value):
+        # each was accepted, and the rates then wrote NaN or -inf parameters
+        with pytest.raises(InvalidInput, match=f"^{field} must be"):
+            cfg(**{field: value})
+
+    def test_config_takes_a_numpy_int_decay_every(self):
+        assert lr_schedule(6, cfg(lr0=1.0, gamma=0.5, decay_every=np.int64(3))) == 0.25

@@ -66,7 +66,7 @@ from pixpoint.nn import (
     knn_indices,
 )
 from pixpoint.optim import OptimConfig, lr_schedule
-from pixpoint.rngutil import derive_seed, derive_seeds, rng_for
+from pixpoint.rngutil import rng_for
 from pixpoint.synthdata import SceneConfig, generate_scene
 
 DIMS = 8
@@ -180,9 +180,20 @@ def test_stage1_sampled_conv3_trains_like_the_dense_encoder_in_float32(dataset, 
 def step_gradient_error(dataset, monkeypatch, run, encoder, **extra):
     """Max relative error, at 30 coordinates, between the gradient the first
     step hands to the optimiser and finite differences of that step's loss
-    as a function of the initial parameters."""
+    as a function of the initial parameters. The loss is differenced per
+    query, then summed: the step's total, about 1e3, rounds f+ - f- to
+    about 1e-13, which over 2 eps is 5e-8, near the smallest gradients."""
     grads = {}
+    per_query = []
     monkeypatch.setattr(pipeline, "sgd_step", lambda params, g, state, cfg: grads.update(g) or 0.0)
+    info_nce = pipeline.info_nce
+
+    def recording(*args, **kwargs):
+        out = info_nce(*args, **kwargs)
+        per_query.append(out.per_query)
+        return out
+
+    monkeypatch.setattr(pipeline, "info_nce", recording)
 
     def loss_fn(tensors):
         part = {"enc": {}, "head": {}}
@@ -193,8 +204,9 @@ def step_gradient_error(dataset, monkeypatch, run, encoder, **extra):
         head = HeadParams.from_tensors(part["head"])
         monkeypatch.setattr(pipeline, encoder.__name__, SimpleNamespace(initialize=lambda *a: enc))
         monkeypatch.setattr(pipeline, "HeadParams", SimpleNamespace(initialize=lambda *a: head))
-        _, report = run(dataset, iterations=1)
-        return float(report.loss_history[0]), dict(grads)
+        per_query.clear()
+        run(dataset, iterations=1)
+        return per_query[0], dict(grads)
 
     start, _ = run(dataset, iterations=1)  # the stub step leaves them initial
     return gradient_check(loss_fn, start, eps=1e-6, rng_seed=3, n_coords=30)
@@ -263,32 +275,34 @@ def test_stage1_starved_iteration_names_it(dataset, monkeypatch):
 
 
 def test_stage1_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
-    """A slot's positive pixels are rebuilt outside the run from the
-    image its iteration picked and the three seeds of
-    derive_seeds(seed, 3, "s1", it, k, attempt): view a, view b, match."""
+    """A slot's positive pixels are rebuilt outside the run from the image
+    its iteration picked and the slot's stream, rng_for(seed, "stage1",
+    it).spawn(batch_pairs)[k]: view a, view b, then the match, drawn on
+    from that stream until two views overlap."""
     real = pipeline.match_positive_pixels
-    recorded = {}
+    matched = []
 
-    def recording(map_a, map_b, count, rng_seed):
-        recorded[rng_seed] = real(map_a, map_b, count, rng_seed)
-        return recorded[rng_seed]
+    def recording(*args):
+        matched.append(real(*args))  # a retried slot's EmptyOverlap records nothing
+        return matched[-1]
 
     monkeypatch.setattr(pipeline, "match_positive_pixels", recording)
-    run_stage1(dataset)
+    _, report = run_stage1(dataset)
+    assert report.skipped == 0  # so slot k of iteration it is match it * batch_pairs + k
 
     cfg, it, k = STAGE1, 1, 2
     picks = rng_for(cfg.seed, "stage1", it).integers(0, len(dataset), size=cfg.batch_pairs)
+    rng = rng_for(cfg.seed, "stage1", it).spawn(cfg.batch_pairs)[k]
     img = dataset[int(picks[k])].image
-    for attempt in range(pipeline.MAX_PAIR_RETRIES):
-        seed_a, seed_b, match_seed = derive_seeds(cfg.seed, 3, "s1", it, k, attempt)
-        _, map_a = augment_image(img, cfg.spec_a, seed_a)
-        _, map_b = augment_image(img, cfg.spec_b, seed_b)
+    for _ in range(pipeline.MAX_PAIR_RETRIES):
+        _, map_a = augment_image(img, cfg.spec_a, rng)
+        _, map_b = augment_image(img, cfg.spec_b, rng)
         try:
-            pix_a, pix_b = match_positive_pixels(map_a, map_b, cfg.pixels_per_pair, match_seed)
+            pix_a, pix_b = match_positive_pixels(map_a, map_b, cfg.pixels_per_pair, rng)
         except EmptyOverlap:
             continue
         break
-    got_a, got_b = recorded[match_seed]
+    got_a, got_b = matched[it * cfg.batch_pairs + k]
     assert pix_a.shape == (cfg.pixels_per_pair, 2)
     assert np.array_equal(got_a, pix_a) and np.array_equal(got_b, pix_b)
 
@@ -474,8 +488,8 @@ def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypa
 
 def test_stage2_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
     """A slot's rows and positives are rebuilt outside the run from the
-    pair its iteration picked, its augmentation seed derive_seed(seed,
-    "s2aug", it, k) and its pick rng_for(seed, "s2pick", it, k)."""
+    pair its iteration picked and the slot's stream, rng_for(seed,
+    "stage2", it).spawn(batch_pairs)[k]: the augmentation, then the pick."""
     forward, loss = pipeline.point_forward, pipeline.info_nce
     fed, positives = [], []
 
@@ -498,11 +512,12 @@ def test_stage2_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
     scan = voxelize(pair.cloud, cfg.voxel_size).cloud
     frozen = (EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS))
     point_index, targets = pipeline.frozen_pixel_embeddings(*frozen, pair, scan)
-    cloud, index_map = augment_cloud(scan, cfg.spec3d, derive_seed(cfg.seed, "s2aug", it, k))
+    rng = rng_for(cfg.seed, "stage2", it).spawn(cfg.batch_pairs)[k]
+    cloud, index_map = augment_cloud(scan, cfg.spec3d, rng)
     rows = index_map[point_index]
     alive = np.flatnonzero(rows >= 0)
     n_take = min(cfg.correspondences_per_pair, alive.size)
-    pick = alive[rng_for(cfg.seed, "s2pick", it, k).choice(alive.size, size=n_take, replace=False)]
+    pick = alive[rng.choice(alive.size, size=n_take, replace=False)]
 
     slot = it * cfg.batch_pairs + k
     positions, colors, got_rows = fed[slot]
@@ -644,23 +659,39 @@ def test_scene_pair_rejects_image_of_another_size(dataset):
         pipeline.ScenePair(pair.cloud, Image(np.zeros((24, 16, 3))), pair.pose, pair.intrinsics)
 
 
+def raise_empty_overlap(real, *args):
+    raise EmptyOverlap("injected")
+
+
+def raise_empty_cloud(real, *args):
+    raise EmptyCloud("injected")
+
+
+def keep_at_most_one_match(real, cloud, *args):
+    """The real augmentation, with every point but the first dropped from
+    the index map: a slot keeps at most one of its scan's matches."""
+    out, index_map = real(cloud, *args)
+    return out, np.where(np.arange(len(index_map)) == 0, index_map, -1)
+
+
 @pytest.mark.parametrize(
-    "run, cfg, name, failures, error",
+    "run, cfg, name, failures, fail",
     [
         # the first pair of iteration 0 fails every retry
-        (run_stage1, STAGE1, "match_positive_pixels", pipeline.MAX_PAIR_RETRIES, EmptyOverlap),
-        (run_stage2, STAGE2, "augment_cloud", 1, EmptyCloud),
+        (run_stage1, STAGE1, "match_positive_pixels", pipeline.MAX_PAIR_RETRIES, raise_empty_overlap),
+        (run_stage2, STAGE2, "augment_cloud", 1, raise_empty_cloud),
+        (run_stage2, STAGE2, "augment_cloud", 1, keep_at_most_one_match),
     ],
-    ids=["stage1", "stage2"],
+    ids=["stage1", "stage2", "stage2-one-winner"],
 )
-def test_skipped_slot_is_counted(dataset, monkeypatch, run, cfg, name, failures, error):
+def test_skipped_slot_is_counted(dataset, monkeypatch, run, cfg, name, failures, fail):
     real = getattr(pipeline, name)
     calls = []
 
     def fail_first_calls(*args):
         calls.append(None)
         if len(calls) <= failures:
-            raise error("injected")
+            return fail(real, *args)
         return real(*args)
 
     monkeypatch.setattr(pipeline, name, fail_first_calls)
