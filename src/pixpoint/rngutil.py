@@ -1,6 +1,6 @@
 """Deterministic RNG derivation.
 
-Every stochastic operation draws from an explicit generator; nested work
+Every stochastic operation takes an explicit seed or generator; nested work
 derives child generators from (seed, tag...) tuples, or spawns them from
 a parent's, so that runs are bit reproducible and batches can be rebuilt
 in isolation for replay.

@@ -667,11 +667,12 @@ def raise_empty_cloud(real, *args):
     raise EmptyCloud("injected")
 
 
-def keep_at_most_one_match(real, cloud, *args):
+def keep_at_most_one_match(real, *args):
     """The real augmentation, with every point but the first dropped from
     the index map: a slot keeps at most one of its scan's matches."""
-    out, index_map = real(cloud, *args)
-    return out, np.where(np.arange(len(index_map)) == 0, index_map, -1)
+    out, index_map = real(*args)
+    index_map[1:] = -1
+    return out, index_map
 
 
 @pytest.mark.parametrize(
