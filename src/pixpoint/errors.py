@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the count check that
+raises one.
 
 Points that project out of view are NOT errors: projection reports them
 through a validity mask (see geometry.project_points). Everything here
 signals a broken precondition, malformed data, or an aborted run.
 """
+
+import numpy as np
 
 
 class PixpointError(Exception):
@@ -12,12 +15,18 @@ class PixpointError(Exception):
 
 class InvalidInput(PixpointError, ValueError):
     """A data class (image, cloud, pose, camera, coordinate map, matches,
-    pair, network parameters), a transform descriptor, a stage, loss,
-    optimiser or scene config, the learning-rate schedule, the loss, a
-    stage driver, a data function (voxelize, build_correspondences,
-    augment_cloud, match_positive_pixels) or a network function (the conv
-    encoder, the head, the kNN searches, the point encoder) got bad
-    values."""
+    pair, network parameters), a transform descriptor, a stage, loss or
+    scene config, the learning-rate schedule, the loss, a stage driver, a
+    data function (voxelize, build_correspondences, augment_cloud,
+    match_positive_pixels) or a network function (the conv encoder, the
+    head, the kNN searches, the point encoder) got bad values."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise InvalidInput unless value is an int (a numpy integer counts, a
+    bool does not) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInput(f"{name} must be an int >= {least}")
 
 
 class DegenerateCrop(PixpointError):

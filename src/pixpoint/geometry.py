@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_count
 
 BEHIND_EPS = 1e-9  # camera-frame depth below this counts as behind the camera
 
@@ -42,8 +42,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidInput(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
-        if not (self.width > 0 and self.height > 0):
-            raise InvalidInput(f"image size must be positive, got {self.width}x{self.height}")
+        check_count("width", self.width, 1)
+        check_count("height", self.height, 1)
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidInput(f"principal point ({self.cx},{self.cy}) outside image")
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NotNormalized
+from .errors import InvalidInput, NotNormalized, check_count
 
 UNIT_TOL = 1e-6
 # rows per loss block: 64 to 256 rows, or a budget of 2**18 cells, timed
@@ -71,9 +71,7 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:  # NaN fails too
             raise InvalidInput(f"tau must be in (0, 1], got {self.tau}")
-        k = self.negatives
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise InvalidInput(f"negatives must be an int >= 1, got {k!r}")
+        check_count("negatives", self.negatives, 1)
 
 
 @dataclass

@@ -92,12 +92,12 @@ def conv3x3_forward(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, at=None) ->
     wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=xp.dtype).reshape(9, cin, cout)
     out = np.zeros(xp.shape[:3] + (cout,) if at is None else (at.size, cout), dtype=xp.dtype)
     flat = out.reshape(-1, cout)
-    _offset_sum(xp.reshape(-1, cin), rows, shifts, wk, flat[rows] if at is None else flat)
+    band = flat[rows] if at is None else flat
+    _offset_sum(xp.reshape(-1, cin), rows, shifts, wk, band)
+    band += bias  # over contiguous rows: about twice as fast as over the strided interior
     if at is not None:
-        out += bias
         return out
-    out[:, 1:-1, 1:-1] += bias
-    out[:, [0, -1]] = 0.0  # the band's rows on the border hold partial sums
+    out[:, [0, -1]] = 0.0  # the band's rows on the border hold partial sums and the bias
     out[:, :, [0, -1]] = 0.0
     return out
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInput
+from ..errors import InvalidInput, check_count
 from ..geometry import PointCloud
 from .params import EncoderParams3D
 
@@ -95,8 +95,7 @@ def _check_search(positions: np.ndarray, k: int) -> None:
         raise InvalidInput(f"positions must be (N, 3), got {positions.shape}")
     if not np.isfinite(positions).all():
         raise InvalidInput("positions must be finite")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidInput(f"k must be an integer >= 1, got {k!r}")
+    check_count("k", k, 1)
 
 
 def _grid_search(positions, k_eff: int, by_distance: bool, slot, nb) -> np.ndarray:

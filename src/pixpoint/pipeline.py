@@ -70,7 +70,7 @@ from .augment import (
     augment_image,
     match_positive_pixels,
 )
-from .errors import EmptyCloud, EmptyOverlap, InvalidInput, IterationStarved, NonFiniteLoss
+from .errors import EmptyCloud, EmptyOverlap, InvalidInput, IterationStarved, NonFiniteLoss, check_count
 from .geometry import CameraIntrinsics, Image, PointCloud, Pose, build_correspondences, voxelize
 from .loss import LossConfig, info_nce
 from .nn import (
@@ -87,7 +87,7 @@ from .nn import (
     point_backward,
     point_forward,
 )
-from .optim import OptimConfig, OptimState, sgd_step
+from .optim import OptimState, sgd_step
 from .rngutil import derive_seed, rng_for
 
 log = logging.getLogger(__name__)
@@ -129,27 +129,44 @@ def _check_stage_config(cfg, **least) -> None:
     count the config adds to the smallest value it takes."""
     counts = {"batch_pairs": 1, "iterations": 1, "feature_dim": 1, "embed_dim": 1, **least}
     for name, low in counts.items():
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise InvalidInput(f"{name} must be an int >= {low}")
+        check_count(name, getattr(cfg, name), low)
     if cfg.embed_dim > cfg.feature_dim:
         raise InvalidInput(f"embed_dim must be <= feature_dim = {cfg.feature_dim}")
     if not 0.0 < cfg.tau <= 1.0:  # NaN fails too
         raise InvalidInput(f"tau must be in (0, 1], got {cfg.tau}")
+    if not 0.0 <= cfg.lr0 < np.inf:  # NaN fails too
+        raise InvalidInput(f"lr0 must be finite and nonnegative, got {cfg.lr0}")
 
 
 @dataclass(frozen=True)
 class Stage1Config:
+    """Stage 1's settings; counts are ints, checked when built.
+
+    batch_pairs: images per iteration, one slot each (>= 1).
+    pixels_per_pair: matched pixel pairs sampled per slot (>= 2).
+    tau: the loss temperature on cosine similarities, in (0, 1].
+    lr0: the initial SGD learning rate, finite and >= 0; the rest of the
+        schedule is fixed in `optim`.
+    iterations: SGD steps (>= 1).
+    spec_a, spec_b: the augmentations that make each slot's two views.
+    feature_dim: the encoder's output channels D (>= 1).
+    embed_dim: the head's embedding width M, in [1, feature_dim].
+    negative_cap: rows in each iteration's negative pool (>= 1); at or
+        above the batch's rows, two per sampled pixel pair, the pool is
+        the whole batch.
+    seed: the root of every random stream of the run.
+    """
+
     batch_pairs: int = 8
     pixels_per_pair: int = 512
     tau: float = 0.4
-    optim: OptimConfig = OptimConfig(lr0=0.01)
+    lr0: float = 0.01
     iterations: int = 500
     spec_a: TransformSpec2D = default_spec_2d()
     spec_b: TransformSpec2D = default_spec_2d()
     feature_dim: int = 16
     embed_dim: int = 16
-    negative_cap: int = 512  # above 2 x queries the pool is the whole batch
+    negative_cap: int = 512
     seed: int = 0
 
     def __post_init__(self):
@@ -158,11 +175,30 @@ class Stage1Config:
 
 @dataclass(frozen=True)
 class Stage2Config:
+    """Stage 2's settings; counts are ints, checked when built.
+
+    batch_pairs: (scan, image) pairs per iteration, one slot each (>= 1).
+    correspondences_per_pair: matched points sampled per slot (>= 2); a
+        slot with fewer surviving matches takes them all.
+    voxel_size: the voxel grid's cell side in metres (> 0).
+    tau: the loss temperature on cosine similarities, in (0, 1].
+    lr0: the initial SGD learning rate, finite and >= 0; the rest of the
+        schedule is fixed in `optim`.
+    iterations: SGD steps (>= 1).
+    negative_source: POINTS_ONLY (the other sampled points) or
+        POINTS_AND_PIXELS (those and their frozen pixel embeddings).
+    spec3d: the augmentation of each slot's scan.
+    feature_dim: the point encoder's output channels D (>= 1).
+    embed_dim: the head's embedding width M, in [1, feature_dim].
+    knn: neighbours per point of the point encoder (>= 1).
+    seed: the root of every random stream of the run.
+    """
+
     batch_pairs: int = 8
     correspondences_per_pair: int = 256
     voxel_size: float = 0.05
     tau: float = 0.4
-    optim: OptimConfig = OptimConfig(lr0=0.1)
+    lr0: float = 0.1
     iterations: int = 500
     negative_source: str = POINTS_ONLY
     spec3d: TransformSpec3D = default_spec_3d()
@@ -269,7 +305,7 @@ def _train(stage: int, cfg, enc, head, audit: _NormAudit, items: list, make_slot
                 f"{'image' if stage == 1 else 'pair'} indices {picks.tolist()}"
             ) from None
 
-        lrs[it] = sgd_step(params, _prefixed(enc_grads, head_grads), state, cfg.optim)
+        lrs[it] = sgd_step(params, _prefixed(enc_grads, head_grads), state, cfg.lr0)
         losses[it] = out.total
         gaps[it] = out.alignment_gap
         seconds[it] = time.perf_counter() - t0

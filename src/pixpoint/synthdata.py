@@ -10,6 +10,9 @@ as the ground-truth correspondence set.
 
 Background pixels (no point) take a fixed mid-gray and never appear in
 the ground truth. Class ids: 0 floor, 1 wall, 2 ceiling, 3+ box classes.
+The room, the palette, the color jitter and the cameras' field of view
+and tilt are module constants; SceneConfig sets the counts, the image
+size and the seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, PlacementFailure
+from .errors import InvalidInput, PlacementFailure, check_count
 from .geometry import (
     CameraIntrinsics,
     CorrespondenceSet,
@@ -31,10 +34,11 @@ from .geometry import (
 from .rngutil import rng_for
 
 BACKGROUND_COLOR = (0.5, 0.5, 0.5)
+ROOM_EXTENT = (4.0, 4.0, 2.5)  # metres along x, y, z
 
 # deliberately overlapping albedos (wall vs ceiling, the two red box
 # classes): color alone does not separate the label set
-DEFAULT_PALETTE = (
+PALETTE = (
     (0.45, 0.33, 0.24),  # 0 floor
     (0.75, 0.75, 0.70),  # 1 wall
     (0.72, 0.72, 0.72),  # 2 ceiling
@@ -43,37 +47,33 @@ DEFAULT_PALETTE = (
     (0.58, 0.28, 0.22),  # 5 box, red-brown
 )
 
+COLOR_JITTER = 0.08  # half-width of each object's uniform color offset
+HFOV_DEG = 70.0  # cameras' horizontal field of view
+ORIENT_JITTER_DEG = 8.0  # largest tilt of a camera off its look-at pose
+
 FLOOR, WALL, CEILING = 0, 1, 2
 _CAM_MARGIN = 0.3  # metres kept clear of walls when placing cameras
 
 
 @dataclass(frozen=True)
 class SceneConfig:
-    room_extent: tuple = (4.0, 4.0, 2.5)
+    """n_objects boxes in the room, n_points surface points, n_cameras
+    views of image_size (width, height) pixels, all drawn from seed."""
+
     n_objects: int = 5
     n_points: int = 2048
     n_cameras: int = 2
     image_size: tuple = (64, 64)
-    palette: tuple = DEFAULT_PALETTE
-    color_jitter: float = 0.08
-    hfov_deg: float = 70.0
-    orient_jitter_deg: float = 8.0
     seed: int = 0
 
     def __post_init__(self):
-        if any(e <= 0 for e in self.room_extent):
-            raise InvalidInput(f"room extents must be positive, got {self.room_extent}")
-        if self.n_points < 100:
-            raise InvalidInput(f"need at least 100 points, got {self.n_points}")
-        if self.n_cameras < 1:
-            raise InvalidInput("need at least one camera")
-        if len(self.palette) < 4:
-            raise InvalidInput("class pool must have at least 4 classes (incl. wall/floor)")
-        if self.n_objects < 0:
-            raise InvalidInput("n_objects must be nonnegative")
-        w, h = self.image_size
-        if w < 3 or h < 3:
-            raise InvalidInput(f"image size too small: {self.image_size}")
+        check_count("n_objects", self.n_objects, 0)
+        check_count("n_points", self.n_points, 100)
+        check_count("n_cameras", self.n_cameras, 1)
+        if len(self.image_size) != 2:
+            raise InvalidInput(f"image_size must be (width, height), got {self.image_size}")
+        check_count("image width", self.image_size[0], 3)
+        check_count("image height", self.image_size[1], 3)
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def _box_rects(box: Box, cls, obj):
     ]
 
 
-def _look_at(eye: np.ndarray, target: np.ndarray) -> Pose:
-    """Camera-from-world pose: z forward toward target, y down, x right."""
+def _look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Camera-from-world rotation: z forward toward target, y down, x right."""
     forward = target - eye
     norm = np.linalg.norm(forward)
     if norm < 1e-9:
@@ -154,8 +154,7 @@ def _look_at(eye: np.ndarray, target: np.ndarray) -> Pose:
     r = np.cross(f, up)
     r /= np.linalg.norm(r)
     d = np.cross(f, r)
-    rot = np.vstack([r, d, f])
-    return Pose(rot, -rot @ eye)
+    return np.vstack([r, d, f])
 
 
 def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -170,13 +169,13 @@ def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def place_camera(rng, room_extent, boxes, orient_jitter_deg) -> Pose:
+def place_camera(rng, boxes) -> Pose:
     """Sample a camera pose in free space looking at the room centre.
 
     Retries up to 100 positions that land inside an object; raises
     PlacementFailure when the budget is exhausted.
     """
-    lx, ly, lz = room_extent
+    lx, ly, lz = ROOM_EXTENT
     target = np.array([lx / 2.0, ly / 2.0, lz * 0.45])
     for _ in range(100):
         eye = np.array(
@@ -190,15 +189,12 @@ def place_camera(rng, room_extent, boxes, orient_jitter_deg) -> Pose:
             continue
         if any(b.contains(eye) for b in boxes):
             continue
-        pose = _look_at(eye, target)
-        jitter = math.radians(orient_jitter_deg)
-        if jitter > 0:
-            axis = rng.normal(size=3)
-            if np.linalg.norm(axis) < 1e-12:
-                axis = np.array([0.0, 0.0, 1.0])
-            rot = _axis_angle(axis, rng.uniform(-jitter, jitter)) @ pose.rotation
-            pose = Pose(rot, -rot @ eye)
-        return pose
+        axis = rng.normal(size=3)
+        if np.linalg.norm(axis) < 1e-12:
+            axis = np.array([0.0, 0.0, 1.0])
+        jitter = math.radians(ORIENT_JITTER_DEG)
+        rot = _axis_angle(axis, rng.uniform(-jitter, jitter)) @ _look_at(eye, target)
+        return Pose(rot, -rot @ eye)
     raise PlacementFailure("no free camera position found in 100 attempts")
 
 
@@ -212,11 +208,11 @@ def render_view(cloud: PointCloud, pose: Pose, intr: CameraIntrinsics) -> Camera
 
 def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     rng = rng_for(cfg.seed, "scene")
-    lx, ly, lz = cfg.room_extent
+    lx, ly, lz = ROOM_EXTENT
 
     rects = _room_rects(lx, ly, lz)
     boxes = []
-    n_box_classes = len(cfg.palette) - 3
+    n_box_classes = len(PALETTE) - 3
     next_obj = 6
     for i in range(cfg.n_objects):
         size = np.array(
@@ -239,7 +235,7 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
         rects.extend(_box_rects(box, cls, next_obj))
         next_obj += 1
 
-    jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, size=(next_obj, 3))
+    jitter = rng.uniform(-COLOR_JITTER, COLOR_JITTER, size=(next_obj, 3))
 
     origin, e1, e2, labels, obj = (
         np.array([getattr(r, name) for r in rects])
@@ -250,14 +246,14 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     st = rng.uniform(0.0, 1.0, size=(cfg.n_points, 2))
     origin, e1, e2, labels, obj = (a[choice] for a in (origin, e1, e2, labels, obj))
     positions = origin + st[:, :1] * e1 + st[:, 1:] * e2
-    colors = np.clip(np.asarray(cfg.palette, dtype=np.float64)[labels] + jitter[obj], 0.0, 1.0)
+    colors = np.clip(np.asarray(PALETTE, dtype=np.float64)[labels] + jitter[obj], 0.0, 1.0)
     cloud = PointCloud(positions, colors, labels)
 
     w, h = cfg.image_size
-    f = (w / 2.0) / math.tan(math.radians(cfg.hfov_deg) / 2.0)
+    f = (w / 2.0) / math.tan(math.radians(HFOV_DEG) / 2.0)
     intr = CameraIntrinsics(fx=f, fy=f, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
     cameras = []
     for _ in range(cfg.n_cameras):
-        pose = place_camera(rng, cfg.room_extent, boxes, cfg.orient_jitter_deg)
+        pose = place_camera(rng, boxes)
         cameras.append(render_view(cloud, pose, intr))
     return SyntheticScene(cloud=cloud, cameras=cameras, seed=cfg.seed)

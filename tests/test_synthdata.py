@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pixpoint import synthdata
-from pixpoint.errors import PlacementFailure
+from pixpoint.errors import InvalidInput, PlacementFailure
 from pixpoint.geometry import project_points
 from pixpoint.rngutil import rng_for
 from pixpoint.synthdata import (
@@ -117,7 +117,7 @@ class TestGenerateScene:
         (calls,) = [rng.calls for rng in rngs]
         at = [name for name, _ in calls].index("choice")
         jitter, choice, st = (out for _, out in calls[at - 1 : at + 2])
-        expected = loop_surface_points(rects, choice, st, np.asarray(cfg.palette), jitter)
+        expected = loop_surface_points(rects, choice, st, np.asarray(synthdata.PALETTE), jitter)
         cloud = scene.cloud
         for got, want in zip((cloud.positions, cloud.colors, cloud.labels), expected):
             assert got.dtype == want.dtype
@@ -158,8 +158,7 @@ class TestGenerateScene:
     def test_area_uniform_sampling_within_5_sigma(self):
         # aggregate counts per surface class over 10 seeds against the
         # multinomial expectation from exact areas
-        lx, ly, lz = 4.0, 4.0, 2.5
-        cfg0 = small_cfg(n_objects=0, n_points=2000, n_cameras=1)
+        lx, ly, lz = synthdata.ROOM_EXTENT
         total = np.zeros(3)
         for seed in range(10):
             scene = generate_scene(small_cfg(n_objects=0, n_points=2000, n_cameras=1, seed=seed))
@@ -174,15 +173,16 @@ class TestGenerateScene:
     def test_camera_inside_object_exhausts_retries(self):
         # one box covering the whole camera sampling region
         rng = rng_for(0, "test")
-        room = (2.0, 2.0, 2.0)
-        covering = Box(np.array([0.0, 0.0, 0.0]), np.array([2.0, 2.0, 2.0]))
+        covering = Box(np.zeros(3), np.array(synthdata.ROOM_EXTENT) + 0.1)
         with pytest.raises(PlacementFailure):
-            place_camera(rng, room, [covering], orient_jitter_deg=5.0)
+            place_camera(rng, [covering])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             SceneConfig(n_points=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             SceneConfig(n_cameras=0)
-        with pytest.raises(ValueError):
-            SceneConfig(palette=((0.5, 0.5, 0.5),) * 3)
+        # each side of the image is an int of at least 3 pixels
+        for size in ((32.0, 32), (32, 2.5), (True, 32), (32, 2), (32,), (32, 32, 3)):
+            with pytest.raises(InvalidInput, match="^image"):
+                SceneConfig(image_size=size)
