@@ -116,10 +116,18 @@ class TestSchedule:
         assert values[-1] < values[0]
 
     def test_config_validation(self):
-        # the schedule's one setting is each stage's lr0; inf and NaN
-        # would write NaN or -inf parameters
+        # the schedule's one setting is each stage's lr0; a negative or
+        # NaN one is refused (inf is the case below)
         for config in (pipeline.Stage1Config, pipeline.Stage2Config):
-            for lr0 in (-1.0, np.inf, np.nan):
+            for lr0 in (-1.0, np.nan):
                 with pytest.raises(InvalidInput, match="^lr0 must be finite and nonnegative"):
                     config(lr0=lr0)
             assert config(lr0=0.0).lr0 == 0.0
+
+    @pytest.mark.parametrize("field, value", [("lr0", np.inf)])
+    def test_config_rejects_non_finite_rates_and_non_int_decay_every(self, field, value):
+        # lr0 is the one rate left to set; an infinite one was accepted and
+        # then wrote NaN or -inf parameters
+        for config in (pipeline.Stage1Config, pipeline.Stage2Config):
+            with pytest.raises(InvalidInput, match=f"^{field} must be"):
+                config(**{field: value})
