@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCrop, EmptyCloud, EmptyOverlap, InvalidInput
+from .errors import DegenerateCrop, EmptyCloud, EmptyOverlap, InvalidInput, check_count
 from .geometry import Image, PointCloud, _readonly
 
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -52,8 +52,10 @@ class RandomResizedCrop:
         lo, hi = self.scale_range
         if not (0.0 < lo <= hi <= 1.0):
             raise InvalidInput(f"scale_range must be within (0,1], got {self.scale_range}")
-        if not all(isinstance(n, (int, np.integer)) and n > 0 for n in self.out_size):
-            raise InvalidInput(f"out_size must be positive ints, got {self.out_size}")
+        if len(self.out_size) != 2:
+            raise InvalidInput(f"out_size must be (width, height), got {self.out_size}")
+        check_count("out_size width", self.out_size[0], 1)
+        check_count("out_size height", self.out_size[1], 1)
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,8 @@ class CoordMap:
             raise InvalidInput(f"affine's last row must be [0, 0, 1], got {a[2].tolist()}")
         if a[0, 1] != 0.0 or a[1, 0] != 0.0:
             raise InvalidInput("affine's off-diagonal linear terms must be 0")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
-            raise InvalidInput(f"size must be ints >= 1, got {self.width!r} x {self.height!r}")
+        check_count("width", self.width, 1)
+        check_count("height", self.height, 1)
         object.__setattr__(self, "affine", a)
 
     @staticmethod
@@ -312,8 +314,7 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng: np.
     nothing when n is every match. Raises EmptyOverlap when no pixel of
     B lies within 0.5 px of a pixel of A.
     """
-    if count < 1:
-        raise InvalidInput(f"count must be >= 1, got {count}")
+    check_count("count", count, 1)
     # a match is a column pair and a row pair whose squared distances sum
     # to at most r^2
     xa, xb, dx2 = _axis_pairs(map_a, map_b, 0)

@@ -16,10 +16,11 @@ class PixpointError(Exception):
 class InvalidInput(PixpointError, ValueError):
     """A data class (image, cloud, pose, camera, coordinate map, matches,
     pair, network parameters), a transform descriptor, a stage, loss or
-    scene config, the learning-rate schedule, the loss, a stage driver, a
-    data function (voxelize, build_correspondences, augment_cloud,
-    match_positive_pixels) or a network function (the conv encoder, the
-    head, the kNN searches, the point encoder) got bad values."""
+    scene config, a camera's look-at, the learning-rate schedule, the
+    loss, a stage driver, a data function (voxelize,
+    build_correspondences, augment_cloud, match_positive_pixels) or a
+    network function (the conv encoder, the head, the kNN searches, the
+    point encoder) got bad values."""
 
 
 def check_count(name: str, value, least: int) -> None:

@@ -4,9 +4,12 @@ The 2D encoder's six tensors share one dtype, float32 or float64, and its
 layers compute in it; `EncoderParams2D.initialize` makes float32. The
 point encoder and the heads are float64. Initialization is uniform in
 +-sqrt(6 / fan_in) per layer, drawn deterministically from a seed in
-float64; the 2D encoder's draws are then rounded to float32. Containers
-expose their tensors as ordered name->array dicts, and rebuild from them,
-so the optimizer and the parameter checksum treat every model alike.
+float64; the 2D encoder's draws are then rounded to float32. Each
+container's `_layout` is its one table of tensor shapes and fan-ins, in
+draw order: its shape check and its initialization both read it.
+Containers expose their tensors as ordered name->array dicts, and rebuild
+from them, so the optimizer and the parameter checksum treat every model
+alike.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import InvalidInput
+from ..errors import InvalidInput, check_count
 from ..rngutil import rng_for
 
 DEFAULT_FEATURE_DIM = 16  # per-pixel / per-point feature width D
@@ -23,13 +26,10 @@ DEFAULT_EMBED_DIM = 16  # normalized embedding width M
 DEFAULT_KNN = 8
 
 
-def _uniform_init(rng, shape, fan_in):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class _TensorStruct:
-    """Mixin: dataclass whose ndarray fields form an ordered tensor dict."""
+    """Mixin: dataclass whose ndarray fields form an ordered tensor dict,
+    laid out by its `_layout(*dims)`: name -> (shape, fan_in), in field
+    order, which is also the order `_draw` draws them in."""
 
     def tensors(self) -> dict:
         out = {}
@@ -47,6 +47,26 @@ class _TensorStruct:
             raise InvalidInput(f"unexpected tensors {sorted(unknown)} for {cls.__name__}")
         return cls(**tensors, **extra)
 
+    def _check(self, *dims) -> None:
+        """Raise InvalidInput unless every tensor has its _layout(*dims)
+        shape and finite values."""
+        for name, (want, _) in self._layout(*dims).items():
+            got = getattr(self, name)
+            if got.shape != want:
+                raise InvalidInput(f"{name} must have shape {want}, got {got.shape}")
+            if not np.all(np.isfinite(got)):
+                raise InvalidInput(f"{name} contains non-finite values")
+
+    @classmethod
+    def _draw(cls, rng, *dims) -> dict:
+        """The tensors of _layout(*dims), each uniform in +-sqrt(6 / fan_in),
+        drawn from rng in layout order."""
+        out = {}
+        for name, (shape, fan_in) in cls._layout(*dims).items():
+            bound = np.sqrt(6.0 / fan_in)
+            out[name] = rng.uniform(-bound, bound, size=shape)
+        return out
+
 
 @dataclass
 class EncoderParams2D(_TensorStruct):
@@ -62,22 +82,19 @@ class EncoderParams2D(_TensorStruct):
     conv3_w: np.ndarray
     conv3_b: np.ndarray
 
-    def __post_init__(self):
-        d = self.conv3_w.shape[0]
-        shapes = {
-            "conv1_w": (16, 3, 3, 3),
-            "conv1_b": (16,),
-            "conv2_w": (32, 16, 3, 3),
-            "conv2_b": (32,),
-            "conv3_w": (d, 32, 3, 3),
-            "conv3_b": (d,),
+    @staticmethod
+    def _layout(d: int) -> dict:
+        return {
+            "conv1_w": ((16, 3, 3, 3), 3 * 9),
+            "conv1_b": ((16,), 3 * 9),
+            "conv2_w": ((32, 16, 3, 3), 16 * 9),
+            "conv2_b": ((32,), 16 * 9),
+            "conv3_w": ((d, 32, 3, 3), 32 * 9),
+            "conv3_b": ((d,), 32 * 9),
         }
-        for name, want in shapes.items():
-            got = getattr(self, name)
-            if got.shape != want:
-                raise InvalidInput(f"{name} must have shape {want}, got {got.shape}")
-            if not np.all(np.isfinite(got)):
-                raise InvalidInput(f"{name} contains non-finite values")
+
+    def __post_init__(self):
+        self._check(self.conv3_w.shape[0])
         dtypes = {name: t.dtype for name, t in self.tensors().items()}
         if len(set(dtypes.values())) != 1 or self.conv1_w.dtype not in (np.float32, np.float64):
             raise InvalidInput(f"tensors must share one dtype, float32 or float64, got {dtypes}")
@@ -89,15 +106,7 @@ class EncoderParams2D(_TensorStruct):
     @staticmethod
     def initialize(seed: int, feature_dim: int = DEFAULT_FEATURE_DIM) -> "EncoderParams2D":
         """float32 tensors: the float64 draws of the seed's stream, rounded."""
-        rng = rng_for(seed, "init2d")
-        tensors = dict(
-            conv1_w=_uniform_init(rng, (16, 3, 3, 3), 3 * 9),
-            conv1_b=_uniform_init(rng, (16,), 3 * 9),
-            conv2_w=_uniform_init(rng, (32, 16, 3, 3), 16 * 9),
-            conv2_b=_uniform_init(rng, (32,), 16 * 9),
-            conv3_w=_uniform_init(rng, (feature_dim, 32, 3, 3), 32 * 9),
-            conv3_b=_uniform_init(rng, (feature_dim,), 32 * 9),
-        )
+        tensors = EncoderParams2D._draw(rng_for(seed, "init2d"), feature_dim)
         return EncoderParams2D(**{k: v.astype(np.float32) for k, v in tensors.items()})
 
 
@@ -116,26 +125,22 @@ class EncoderParams3D(_TensorStruct):
     d2: np.ndarray
     k: int = DEFAULT_KNN
 
-    def __post_init__(self):
-        d = self.v2.shape[0]
-        shapes = {
-            "w1": (32, 6),
-            "b1": (32,),
-            "w2": (32, 32),
-            "b2": (32,),
-            "v1": (64, 64),
-            "d1": (64,),
-            "v2": (d, 64),
-            "d2": (d,),
+    @staticmethod
+    def _layout(d: int) -> dict:
+        return {
+            "w1": ((32, 6), 6),
+            "b1": ((32,), 6),
+            "w2": ((32, 32), 32),
+            "b2": ((32,), 32),
+            "v1": ((64, 64), 64),
+            "d1": ((64,), 64),
+            "v2": ((d, 64), 64),
+            "d2": ((d,), 64),
         }
-        for name, want in shapes.items():
-            got = getattr(self, name)
-            if got.shape != want:
-                raise InvalidInput(f"{name} must have shape {want}, got {got.shape}")
-            if not np.all(np.isfinite(got)):
-                raise InvalidInput(f"{name} contains non-finite values")
-        if self.k < 1:
-            raise InvalidInput(f"k must be >= 1, got {self.k}")
+
+    def __post_init__(self):
+        self._check(self.v2.shape[0])
+        check_count("k", self.k, 1)
 
     @property
     def feature_dim(self) -> int:
@@ -145,18 +150,7 @@ class EncoderParams3D(_TensorStruct):
     def initialize(
         seed: int, feature_dim: int = DEFAULT_FEATURE_DIM, k: int = DEFAULT_KNN
     ) -> "EncoderParams3D":
-        rng = rng_for(seed, "init3d")
-        return EncoderParams3D(
-            w1=_uniform_init(rng, (32, 6), 6),
-            b1=_uniform_init(rng, (32,), 6),
-            w2=_uniform_init(rng, (32, 32), 32),
-            b2=_uniform_init(rng, (32,), 32),
-            v1=_uniform_init(rng, (64, 64), 64),
-            d1=_uniform_init(rng, (64,), 64),
-            v2=_uniform_init(rng, (feature_dim, 64), 64),
-            d2=_uniform_init(rng, (feature_dim,), 64),
-            k=k,
-        )
+        return EncoderParams3D(**EncoderParams3D._draw(rng_for(seed, "init3d"), feature_dim), k=k)
 
 
 @dataclass
@@ -166,12 +160,15 @@ class HeadParams(_TensorStruct):
     weight: np.ndarray
     bias: np.ndarray
 
+    @staticmethod
+    def _layout(m: int, d: int) -> dict:
+        return {"weight": ((m, d), d), "bias": ((m,), d)}
+
     def __post_init__(self):
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise InvalidInput(
-                f"inconsistent head shapes {self.weight.shape}, {self.bias.shape}"
-            )
+        if self.weight.ndim != 2:
+            raise InvalidInput(f"weight must be 2-D, got shape {self.weight.shape}")
         m, d = self.weight.shape
+        self._check(m, d)
         if m > d:
             raise InvalidInput(f"embedding width {m} exceeds feature width {d}")
 
@@ -185,8 +182,4 @@ class HeadParams(_TensorStruct):
         feature_dim: int = DEFAULT_FEATURE_DIM,
         embed_dim: int = DEFAULT_EMBED_DIM,
     ) -> "HeadParams":
-        rng = rng_for(seed, "inithead")
-        return HeadParams(
-            weight=_uniform_init(rng, (embed_dim, feature_dim), feature_dim),
-            bias=_uniform_init(rng, (embed_dim,), feature_dim),
-        )
+        return HeadParams(**HeadParams._draw(rng_for(seed, "inithead"), embed_dim, feature_dim))

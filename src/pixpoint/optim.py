@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NonFiniteGradient, ShapeError
+from .errors import NonFiniteGradient, ShapeError, check_count
 
 MOMENTUM = 0.9
 DAMPENING = 0.1
@@ -37,8 +37,7 @@ class OptimState:
 
 
 def lr_schedule(step: int, lr0: float) -> float:
-    if step < 0:
-        raise InvalidInput(f"step must be nonnegative, got {step}")
+    check_count("step", step, 0)
     return lr0 * GAMMA ** (step // DECAY_EVERY)
 
 

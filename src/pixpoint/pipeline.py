@@ -127,13 +127,11 @@ def default_spec_3d() -> TransformSpec3D:
 def _check_stage_config(cfg, **least) -> None:
     """The checks that Stage1Config and Stage2Config share. least maps each
     count the config adds to the smallest value it takes."""
-    counts = {"batch_pairs": 1, "iterations": 1, "feature_dim": 1, "embed_dim": 1, **least}
+    counts = {"batch_pairs": 1, "iterations": 1, "feature_dim": 1, "embed_dim": 1, "seed": 0, **least}
     for name, low in counts.items():
         check_count(name, getattr(cfg, name), low)
     if cfg.embed_dim > cfg.feature_dim:
         raise InvalidInput(f"embed_dim must be <= feature_dim = {cfg.feature_dim}")
-    if not 0.0 < cfg.tau <= 1.0:  # NaN fails too
-        raise InvalidInput(f"tau must be in (0, 1], got {cfg.tau}")
     if not 0.0 <= cfg.lr0 < np.inf:  # NaN fails too
         raise InvalidInput(f"lr0 must be finite and nonnegative, got {cfg.lr0}")
 
@@ -144,7 +142,6 @@ class Stage1Config:
 
     batch_pairs: images per iteration, one slot each (>= 1).
     pixels_per_pair: matched pixel pairs sampled per slot (>= 2).
-    tau: the loss temperature on cosine similarities, in (0, 1].
     lr0: the initial SGD learning rate, finite and >= 0; the rest of the
         schedule is fixed in `optim`.
     iterations: SGD steps (>= 1).
@@ -154,12 +151,14 @@ class Stage1Config:
     negative_cap: rows in each iteration's negative pool (>= 1); at or
         above the batch's rows, two per sampled pixel pair, the pool is
         the whole batch.
-    seed: the root of every random stream of the run.
+    seed: the root of every random stream of the run (an int >= 0).
+
+    The loss temperature is `LossConfig`'s default, as `_batch_info_nce`
+    builds the loss config.
     """
 
     batch_pairs: int = 8
     pixels_per_pair: int = 512
-    tau: float = 0.4
     lr0: float = 0.01
     iterations: int = 500
     spec_a: TransformSpec2D = default_spec_2d()
@@ -181,27 +180,27 @@ class Stage2Config:
     correspondences_per_pair: matched points sampled per slot (>= 2); a
         slot with fewer surviving matches takes them all.
     voxel_size: the voxel grid's cell side in metres (> 0).
-    tau: the loss temperature on cosine similarities, in (0, 1].
     lr0: the initial SGD learning rate, finite and >= 0; the rest of the
         schedule is fixed in `optim`.
     iterations: SGD steps (>= 1).
     negative_source: POINTS_ONLY (the other sampled points) or
         POINTS_AND_PIXELS (those and their frozen pixel embeddings).
-    spec3d: the augmentation of each slot's scan.
     feature_dim: the point encoder's output channels D (>= 1).
     embed_dim: the head's embedding width M, in [1, feature_dim].
     knn: neighbours per point of the point encoder (>= 1).
-    seed: the root of every random stream of the run.
+    seed: the root of every random stream of the run (an int >= 0).
+
+    The loss temperature is `LossConfig`'s default, as `_batch_info_nce`
+    builds the loss config, and each slot's scan is augmented by
+    `default_spec_3d()`, called once per run by `pretrain_3d`.
     """
 
     batch_pairs: int = 8
     correspondences_per_pair: int = 256
     voxel_size: float = 0.05
-    tau: float = 0.4
     lr0: float = 0.1
     iterations: int = 500
     negative_source: str = POINTS_ONLY
-    spec3d: TransformSpec3D = default_spec_3d()
     feature_dim: int = 16
     embed_dim: int = 16
     knn: int = 8
@@ -321,18 +320,19 @@ def _train(stage: int, cfg, enc, head, audit: _NormAudit, items: list, make_slot
     )
 
 
-def _batch_info_nce(z: np.ndarray, pool, tau: float):
+def _batch_info_nce(z: np.ndarray, pool):
     """info_nce of the batch rows z: queries z[:n], their positives z[n:]
     and the pool z[pool], where pool indexes rows of z without repeats (a
-    slice is taken as a view). Each query excludes its own row and its own
-    positive where they are in the pool. Returns (LossOutput, the gradient
-    of every row of z, the pool's added back onto its rows)."""
+    slice is taken as a view), at `LossConfig`'s default temperature, the
+    only one either stage trains with. Each query excludes its own row and
+    its own positive where they are in the pool. Returns (LossOutput, the
+    gradient of every row of z, the pool's added back onto its rows)."""
     n = z.shape[0] // 2
     negatives = z[pool]
     col_of = np.full(2 * n, -1, dtype=np.int64)
     col_of[pool] = np.arange(negatives.shape[0])
     excl = np.stack([col_of[:n], col_of[n:]], axis=1)  # own row and positive
-    cfg = LossConfig(tau=tau, negatives=negatives.shape[0])
+    cfg = LossConfig(negatives=negatives.shape[0])
     out = info_nce(z[:n], z[n:], negatives, cfg, exclude_columns=excl)
     grad_z = np.concatenate([out.grad_queries, out.grad_positives])
     grad_z[pool] += out.grad_negatives
@@ -390,7 +390,7 @@ def pretrain_2d(dataset: list, cfg: Stage1Config):
         audit.take(z)
         cap = min(int(cfg.negative_cap), z.shape[0])
         pool = rng_iter.choice(z.shape[0], size=cap, replace=False)
-        out, grad_rows = _batch_info_nce(z, pool, cfg.tau)
+        out, grad_rows = _batch_info_nce(z, pool)
         del z
 
         grad_sel, head_grads = head_backward(head, head_cache, grad_rows)
@@ -440,7 +440,8 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     the slot's dropout, matched once in set-up. Pairs that share one
     PointCloud object, as the pairs of pairs_from_scene do, share its
     voxelisation and its neighbour table; the cloud is frozen, so this
-    equals giving each pair its own copy.
+    equals giving each pair its own copy. Every slot augments its scan by
+    the one `default_spec_3d()` the run calls.
     """
     if not dataset:
         raise InvalidInput("dataset must be nonempty")
@@ -472,12 +473,13 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     tables = {}
     # pool rows per query: its points, or its points and their pixels
     pool_width = 1 if cfg.negative_source == POINTS_ONLY else 2
+    spec3d = default_spec_3d()
 
     def make_slot(entry, rng):
         """(the point encoder's rows at the slot's sampled points, its cache,
         their positives)"""
         vox, point_index, targets = entry
-        cloud_aug, index_map = augment_cloud(vox, cfg.spec3d, rng)
+        cloud_aug, index_map = augment_cloud(vox, spec3d, rng)
         rows = index_map[point_index]  # -1 where dropout removed a winner
         alive = np.flatnonzero(rows >= 0)
         if alive.size < 2:
@@ -499,7 +501,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
         audit.take(zq)
         n = zq.shape[0]
         z = np.concatenate([zq, *pos_chunks])
-        out, grad_z = _batch_info_nce(z, slice(0, pool_width * n), cfg.tau)
+        out, grad_z = _batch_info_nce(z, slice(0, pool_width * n))
 
         # the frozen targets receive no gradient: their rows grad_z[n:] are dropped
         grad_sel, head_grads = head_backward(head, head_cache, grad_z[:n])

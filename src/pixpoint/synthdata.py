@@ -70,6 +70,7 @@ class SceneConfig:
         check_count("n_objects", self.n_objects, 0)
         check_count("n_points", self.n_points, 100)
         check_count("n_cameras", self.n_cameras, 1)
+        check_count("seed", self.seed, 0)
         if len(self.image_size) != 2:
             raise InvalidInput(f"image_size must be (width, height), got {self.image_size}")
         check_count("image width", self.image_size[0], 3)
@@ -146,7 +147,7 @@ def _look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     forward = target - eye
     norm = np.linalg.norm(forward)
     if norm < 1e-9:
-        raise ValueError("camera eye coincides with its target")
+        raise InvalidInput("camera eye coincides with its target")
     f = forward / norm
     up = np.array([0.0, 0.0, 1.0])
     if abs(f @ up) > 0.999:

@@ -249,7 +249,7 @@ class TestAugmentImage:
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
 
 
-@pytest.mark.parametrize("out_size", [(8.5, 8), (8.0, 8), (0, 8), (8, -1)])
+@pytest.mark.parametrize("out_size", [(8.5, 8), (8.0, 8), (0, 8), (8, -1), (True, 8), (8, 8, 3)])
 def test_crop_out_size_must_be_positive_ints(out_size):
     with pytest.raises(InvalidInput, match="out_size"):
         RandomResizedCrop((0.5, 1.0), out_size)
@@ -356,8 +356,10 @@ class TestMatchPositivePixels:
 
     def test_count_below_one_raises(self):
         m = CoordMap.identity(3, 3)
-        with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
+        with pytest.raises(InvalidInput, match="^count must be an int >= 1$"):
             match_positive_pixels(m, m, count=0, rng=np.random.default_rng(0))
+        with pytest.raises(InvalidInput, match="^count must be an int >= 1$"):
+            match_positive_pixels(m, m, count=2.5, rng=np.random.default_rng(0))
 
 
 def _chain(size):
@@ -486,9 +488,10 @@ class TestCoordMap:
         "projective": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.1, 0.0, 1.0]], 4, 4, "last row"),
         "rotation": ([[0.0, -1.0, 3.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 4, 4, "off-diagonal"),
         "shear": ([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], 4, 4, "off-diagonal"),
-        "width-0": (np.eye(3), 0, 4, "size"),
-        "height-0": (np.eye(3), 4, 0, "size"),
-        "width-float": (np.eye(3), 4.0, 4, "size"),
+        "width-0": (np.eye(3), 0, 4, "width"),
+        "height-0": (np.eye(3), 4, 0, "height"),
+        "width-float": (np.eye(3), 4.0, 4, "width"),
+        "width-bool": (np.eye(3), True, 4, "width"),
     }
 
     @pytest.mark.parametrize("name", sorted(BAD))

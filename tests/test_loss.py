@@ -200,7 +200,7 @@ class TestBatchModes:
 
     def test_all_in_batch_matches_manual_expansion(self):
         z = unit_rows(6, 6, 10)
-        got, _ = pipeline._batch_info_nce(z, slice(0, 6), 0.4)
+        got, _ = pipeline._batch_info_nce(z, slice(0, 6))
         for i in range(3):
             keep = [j for j in range(6) if j != i and j != 3 + i]
             expect = expanded_loss(z[i], z[3 + i], z[keep])
@@ -208,7 +208,7 @@ class TestBatchModes:
 
     def test_other_queries_matches_manual_expansion(self):
         z = unit_rows(8, 6, 12)
-        got, _ = pipeline._batch_info_nce(z, slice(0, 4), 0.4)
+        got, _ = pipeline._batch_info_nce(z, slice(0, 4))
         for i in range(4):
             keep = [j for j in range(4) if j != i]
             expect = expanded_loss(z[i], z[4 + i], z[keep])
@@ -217,7 +217,7 @@ class TestBatchModes:
     def test_random_subset_matches_manual_expansion(self):
         z = unit_rows(10, 6, 13)
         pool = np.array([7, 0, 4, 9, 2, 5])
-        got, _ = pipeline._batch_info_nce(z, pool, 0.4)
+        got, _ = pipeline._batch_info_nce(z, pool)
         for i in range(5):
             keep = [j for j in pool if j != i and j != 5 + i]
             expect = expanded_loss(z[i], z[5 + i], z[keep])

@@ -982,8 +982,11 @@ def _bad_nn_calls():
         "EncoderParams3D-shape": lambda: EncoderParams3D(**{**t3, "b1": np.zeros(31)}, k=4),
         "EncoderParams3D-finite": lambda: EncoderParams3D(**{**t3, "b1": np.full(32, np.inf)}, k=4),
         "EncoderParams3D-k": lambda: EncoderParams3D(**t3, k=0),
+        "EncoderParams3D-k-float": lambda: EncoderParams3D(**t3, k=2.5),
+        "EncoderParams3D-k-bool": lambda: EncoderParams3D(**t3, k=True),
         "HeadParams-shapes": lambda: HeadParams(np.zeros((4, 8)), np.zeros(3)),
         "HeadParams-width": lambda: HeadParams(np.zeros((9, 8)), np.zeros(9)),
+        "HeadParams-finite": lambda: HeadParams(np.full((4, 8), np.nan), np.zeros(4)),
         "encode_images_forward-at-empty": lambda: encode_images_forward(enc, images, at=np.array([], np.int64)),
         "encode_images_forward-at-unsorted": lambda: encode_images_forward(enc, images, at=np.array([3, 1])),
         "encode_images_forward-shape": lambda: encode_images_forward(enc, images[0]),

@@ -254,7 +254,7 @@ def test_stage1_cap_above_the_batch_scores_all_in_batch(dataset, monkeypatch):
     _, report = run_stage1(dataset, negative_cap=10**6, iterations=1)
     queries, positives, total = calls[0]
     rows = np.concatenate([queries, positives])
-    whole, _ = pipeline._batch_info_nce(rows, slice(0, len(rows)), STAGE1.tau)
+    whole, _ = pipeline._batch_info_nce(rows, slice(0, len(rows)))
     assert total == pytest.approx(whole.total, rel=1e-12, abs=0.0)
     assert report.loss_history[0] == total
 
@@ -481,7 +481,8 @@ def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypa
     monkeypatch.setattr(pipeline, "point_forward", recording_forward)
     monkeypatch.setattr(pipeline, "info_nce", recording_loss)
     spec = TransformSpec3D((RotationZ((0.0, 6.0)), PointDropout(0.5)))
-    _, report = run_stage2(dataset, spec3d=spec)
+    monkeypatch.setattr(pipeline, "default_spec_3d", lambda: spec)
+    _, report = run_stage2(dataset)
     assert report.skipped == 0  # so slot j of the run is the j-th of each record
 
     enc2d, head2d = EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS)
@@ -541,7 +542,7 @@ def test_stage2_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
     frozen = (EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS))
     point_index, targets = pipeline.frozen_pixel_embeddings(*frozen, pair, scan)
     rng = rng_for(cfg.seed, "stage2", it).spawn(cfg.batch_pairs)[k]
-    cloud, index_map = augment_cloud(scan, cfg.spec3d, rng)
+    cloud, index_map = augment_cloud(scan, pipeline.default_spec_3d(), rng)
     rows = index_map[point_index]
     alive = np.flatnonzero(rows >= 0)
     n_take = min(cfg.correspondences_per_pair, alive.size)
@@ -580,9 +581,12 @@ COUNTS = [
     (2, "feature_dim", 1),
     (2, "embed_dim", 1),
     (2, "knn", 1),
+    (1, "seed", 0),
+    (2, "seed", 0),
     ("scene", "n_objects", 0),
     ("scene", "n_points", 100),
     ("scene", "n_cameras", 1),
+    ("scene", "seed", 0),
     ("camera", "width", 1),
     ("camera", "height", 1),
 ]
@@ -594,10 +598,10 @@ COUNTS = [
     ids=[f"stage{c}-{field}" if c in (1, 2) else f"{c}-{field}" for c, field, _ in COUNTS],
 )
 def test_config_rejects_counts_below_one(config, field, least):
-    """Every count of a stage config, the scene config and the camera is
-    an int of at least least (1, or 2 for a pair's pixels or
-    correspondences, 0 boxes, 100 points); a float is rejected even when
-    it holds a whole number, and so is a bool."""
+    """Every count and seed of a stage config, the scene config and the
+    camera is an int of at least least (1, or 2 for a pair's pixels or
+    correspondences, 0 boxes and seeds, 100 points); a float is rejected
+    even when it holds a whole number, and so is a bool."""
     for value in (least - 1, -1, least + 0.5, float(least), True):
         with pytest.raises(InvalidInput, match=f"^{field} must be an int >= {least}$"):
             CONFIGS[config](**{field: value})
@@ -611,8 +615,6 @@ def test_config_rejects_counts_below_one(config, field, least):
         lambda: pipeline.Stage2Config(correspondences_per_pair=1),
         lambda: pipeline.Stage2Config(negative_source="pixels_only"),
         lambda: pipeline.Stage2Config(voxel_size=float("nan")),
-        lambda: pipeline.Stage1Config(tau=0.0),
-        lambda: pipeline.Stage2Config(tau=2.0),
         lambda: pipeline.Stage2Config(knn=0),
         lambda: pipeline.Stage1Config(feature_dim=0),
         lambda: pipeline.Stage2Config(feature_dim=0),
@@ -629,6 +631,7 @@ def test_config_rejects_counts_below_one(config, field, least):
         lambda: pipeline.Stage1Config(lr0=-0.1),
         lambda: pipeline.Stage2Config(lr0=float("inf")),
         lambda: lr_schedule(-1, 0.1),
+        lambda: lr_schedule(2.5, 0.1),
         lambda: SceneConfig(n_points=99),
         lambda: SceneConfig(n_cameras=0),
         lambda: SceneConfig(n_objects=-1),
@@ -640,8 +643,6 @@ def test_config_rejects_counts_below_one(config, field, least):
         "Stage2Config",
         "Stage2Config-negatives",
         "Stage2Config-voxel",
-        "Stage1Config-tau",
-        "Stage2Config-tau",
         "Stage2Config-knn",
         "Stage1Config-feature_dim",
         "Stage2Config-feature_dim",
@@ -658,6 +659,7 @@ def test_config_rejects_counts_below_one(config, field, least):
         "Stage1Config-lr0",
         "Stage2Config-lr0",
         "lr_schedule",
+        "lr_schedule-float",
         "SceneConfig-n_points",
         "SceneConfig-n_cameras",
         "SceneConfig-n_objects",

@@ -177,6 +177,11 @@ class TestGenerateScene:
         with pytest.raises(PlacementFailure):
             place_camera(rng, [covering])
 
+    def test_camera_aimed_at_its_own_eye_is_rejected(self):
+        eye = np.array([1.0, 2.0, 1.5])
+        with pytest.raises(InvalidInput, match="^camera eye coincides with its target$"):
+            synthdata._look_at(eye, eye.copy())
+
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
             SceneConfig(n_points=10)
