@@ -1,4 +1,4 @@
-"""Stochastic 2D / 3D augmentations with coordinate provenance.
+"""Stochastic image and scan augmentations with coordinate provenance.
 
 A view's provenance is its affine. Crops, resizes and flips scale and
 shift each axis, so a chain of them is one 3x3 affine with a diagonal
@@ -20,6 +20,11 @@ within 0.5 px, and a column pair and a row pair match when their squared
 distances sum to at most 0.25. Distance alone decides a match. The
 matches are listed by (row pair, column pair), the order the sample is
 drawn from, so a generator in one state always samples the same pairs.
+
+A scan has one augmentation, augment_cloud: a rotation about z by an
+angle from ROTATION_RANGE, dropout keeping each point with probability
+KEEP_PROB, then CLOUD_JITTER on the point colours. Those three module
+constants are the whole recipe; stage 2 applies it to every slot.
 """
 
 from __future__ import annotations
@@ -36,6 +41,17 @@ LUMA = np.array([0.299, 0.587, 0.114])
 
 # ── transform descriptors ───────────────────────────────────────────────
 
+def _check_range(name: str, value, ok) -> None:
+    """Raise InvalidInput unless value unpacks to a pair (lo, hi) with ok(lo, hi)."""
+    try:
+        lo, hi = value
+        good = bool(ok(lo, hi))  # NaN fails every comparison
+    except (TypeError, ValueError):
+        good = False
+    if not good:
+        raise InvalidInput(f"bad {name} {value!r}")
+
+
 @dataclass(frozen=True)
 class RandomResizedCrop:
     """Crop a window of sampled area fraction, resize to out_size.
@@ -49,9 +65,7 @@ class RandomResizedCrop:
     out_size: tuple  # (width, height)
 
     def __post_init__(self):
-        lo, hi = self.scale_range
-        if not (0.0 < lo <= hi <= 1.0):
-            raise InvalidInput(f"scale_range must be within (0,1], got {self.scale_range}")
+        _check_range("scale_range", self.scale_range, lambda lo, hi: 0.0 < lo <= hi <= 1.0)
         if len(self.out_size) != 2:
             raise InvalidInput(f"out_size must be (width, height), got {self.out_size}")
         check_count("out_size width", self.out_size[0], 1)
@@ -71,9 +85,10 @@ class HorizontalFlip:
 class ColorJitter:
     """Multiplicative factor ranges; None disables a component.
 
-    Jitters image pixels in a TransformSpec2D and point colours in a
-    TransformSpec3D. Applied in fixed order brightness -> contrast ->
-    saturation, then the result is clamped to [0,1].
+    Jitters image pixels in a TransformSpec2D, and scan point colours as
+    CLOUD_JITTER. Applied in fixed order brightness -> contrast ->
+    saturation, then the result is clamped to [0,1]. A range is a finite
+    (lo, hi) with 0 <= lo <= hi.
     """
 
     brightness: tuple | None = None
@@ -82,11 +97,9 @@ class ColorJitter:
 
     def __post_init__(self):
         for name in ("brightness", "contrast", "saturation"):
-            rng = getattr(self, name)
-            if rng is not None:
-                lo, hi = rng
-                if not (0.0 <= lo <= hi):
-                    raise InvalidInput(f"bad {name} range {rng}")
+            value = getattr(self, name)
+            if value is not None:
+                _check_range(f"{name} range", value, lambda lo, hi: 0.0 <= lo <= hi < np.inf)
 
 
 @dataclass(frozen=True)
@@ -109,37 +122,10 @@ class TransformSpec2D:
                 raise InvalidInput(f"unknown 2D transform {op!r}")
 
 
-@dataclass(frozen=True)
-class RotationZ:
-    """Rotation about the cloud's z (gravity) axis through its origin."""
-
-    angle_range: tuple = (0.0, 2.0 * np.pi)
-
-    def __post_init__(self):
-        lo, hi = self.angle_range
-        two_pi = 2.0 * np.pi
-        if not (0.0 <= lo <= hi < two_pi + 1e-12):
-            raise InvalidInput(f"angle_range must lie in [0, 2pi), got {self.angle_range}")
-
-
-@dataclass(frozen=True)
-class PointDropout:
-    keep_prob: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise InvalidInput(f"keep_prob must be in (0,1], got {self.keep_prob}")
-
-
-@dataclass(frozen=True)
-class TransformSpec3D:
-    ops: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            if not isinstance(op, (RotationZ, PointDropout, ColorJitter)):
-                raise InvalidInput(f"unknown 3D transform {op!r}")
+# the one scan augmentation, applied by augment_cloud in this order
+ROTATION_RANGE = (0.0, 2.0 * np.pi - 1e-9)  # angle about z, radians
+KEEP_PROB = 0.9  # each point survives dropout with this probability
+CLOUD_JITTER = ColorJitter(brightness=(0.8, 1.2), contrast=(0.8, 1.2), saturation=(0.8, 1.2))
 
 
 # ── coordinate maps ──────────────────────────────────────────────────────
@@ -330,41 +316,27 @@ def match_positive_pixels(map_a: CoordMap, map_b: CoordMap, count: int, rng: np.
 
 # ── 3D augmentation ──────────────────────────────────────────────────────
 
-def augment_cloud(cloud: PointCloud, spec: TransformSpec3D, rng: np.random.Generator):
-    """Apply spec in order; returns (cloud, index_map). Draws each op's
-    parameters, in op order, from the generator it is given only.
+def augment_cloud(cloud: PointCloud, rng: np.random.Generator):
+    """Rotate cloud about z, drop points, jitter the survivors' colours
+    (ROTATION_RANGE, KEEP_PROB, CLOUD_JITTER); returns (cloud, index_map).
+    Draws the angle, the dropout mask and the jitter factors, in that
+    order, from the generator it is given only.
 
     index_map sends each original point to its output row, -1 if dropped;
-    no op reorders points. Stage 2 matches a scan to pixels before this
+    no point is reordered. Stage 2 matches a scan to pixels before this
     runs, so a slot's matches are the z-buffer winners that survive dropout.
     """
     if len(cloud) == 0:
         raise InvalidInput("cloud must be nonempty")
-    pos = np.array(cloud.positions)
-    col = np.array(cloud.colors)
-    lab = None if cloud.labels is None else np.array(cloud.labels)
-    index_map = np.arange(len(cloud), dtype=np.int64)
-
-    for op in spec.ops:
-        if isinstance(op, RotationZ):
-            theta = rng.uniform(*op.angle_range)
-            c, s = np.cos(theta), np.sin(theta)
-            r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            pos = pos @ r.T
-        elif isinstance(op, PointDropout):
-            keep = rng.random(pos.shape[0]) < op.keep_prob
-            if not keep.any():
-                raise EmptyCloud(f"dropout keep_prob={op.keep_prob} removed every point")
-            pos = pos[keep]
-            col = col[keep]
-            if lab is not None:
-                lab = lab[keep]
-            # remap: current surviving rows get consecutive new indices
-            new_of_current = np.full(keep.shape[0], -1, dtype=np.int64)
-            new_of_current[keep] = np.arange(int(keep.sum()))
-            alive = index_map >= 0
-            index_map[alive] = new_of_current[index_map[alive]]
-        elif isinstance(op, ColorJitter):
-            col = _apply_jitter(col, op, rng)
-
-    return PointCloud(pos, col, lab), index_map
+    theta = rng.uniform(*ROTATION_RANGE)
+    c, s = np.cos(theta), np.sin(theta)
+    r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    pos = cloud.positions @ r.T
+    keep = rng.random(len(cloud)) < KEEP_PROB
+    if not keep.any():
+        raise EmptyCloud(f"dropout at keep probability {KEEP_PROB} removed every point")
+    index_map = np.full(len(cloud), -1, dtype=np.int64)
+    index_map[keep] = np.arange(int(keep.sum()))
+    col = _apply_jitter(cloud.colors[keep], CLOUD_JITTER, rng)
+    lab = None if cloud.labels is None else cloud.labels[keep]
+    return PointCloud(pos[keep], col, lab), index_map

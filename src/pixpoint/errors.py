@@ -15,12 +15,14 @@ class PixpointError(Exception):
 
 class InvalidInput(PixpointError, ValueError):
     """A data class (image, cloud, pose, camera, coordinate map, matches,
-    pair, network parameters), a transform descriptor, a stage, loss or
-    scene config, a camera's look-at, the learning-rate schedule, the
-    loss, a stage driver, a data function (voxelize,
+    pair, network parameters), an image transform descriptor, a stage,
+    loss or scene config, a camera's look-at, the learning-rate schedule,
+    the loss, a stage driver, a data function (voxelize,
     build_correspondences, augment_cloud, match_positive_pixels) or a
     network function (the conv encoder, the head, the kNN searches, the
-    point encoder) got bad values."""
+    point encoder) got bad values. The scan augmentation and the loss
+    temperature take no values: they are the constants of `augment` and
+    `loss.TAU`."""
 
 
 def check_count(name: str, value, least: int) -> None:

@@ -40,8 +40,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise InvalidInput(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):  # NaN fails too
+            raise InvalidInput(f"focal lengths must be positive and finite, got fx={self.fx} fy={self.fy}")
         check_count("width", self.width, 1)
         check_count("height", self.height, 1)
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -215,8 +215,8 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelizeResult:
     the points, not with voxels x classes. The index map sends each
     original point to its voxel's output index.
     """
-    if not voxel_size > 0:
-        raise InvalidInput(f"voxel_size must be positive, got {voxel_size}")
+    if not 0.0 < voxel_size < np.inf:  # NaN fails too
+        raise InvalidInput(f"voxel_size must be positive and finite, got {voxel_size}")
     keys = np.floor(cloud.positions / voxel_size)
     # one int64 key per voxel from the ranks of its coordinates on each
     # axis: below N**3 however wide the cloud, and in the lexicographic

@@ -1,14 +1,15 @@
-"""Temperature-scaled contrastive objective with analytic gradients.
+"""Contrastive objective at a fixed temperature, with analytic gradients.
 
 Per query i with positive p_i and a pool of negatives {n_j}:
 
-    L_i = -log  exp(q_i . p_i / tau) /
-                ( exp(q_i . p_i / tau) + sum_j exp(q_i . n_j / tau) )
-        = log(1 + sum_j exp((q_i . n_j - q_i . p_i) / tau))
+    L_i = -log  exp(q_i . p_i / TAU) /
+                ( exp(q_i . p_i / TAU) + sum_j exp(q_i . n_j / TAU) )
+        = log(1 + sum_j exp((q_i . n_j - q_i . p_i) / TAU))
 
-and the reported loss is the sum over queries. Rows of every input must
-be unit-norm (dot product = cosine), so every logit of row i lies below
-the bound |q_i| max_j |n_j| / tau, about 1/tau.
+and the reported loss is the sum over queries. Both stages train at the
+one temperature TAU = 0.4. Rows of every input must be unit-norm (dot
+product = cosine), so every logit of row i lies below the bound
+|q_i| max_j |n_j| / TAU, about 1/TAU.
 
 The pool is one explicit (K, M) array shared by every query, with K =
 LossConfig.negatives. `exclude_columns` names, per query, the pool
@@ -20,44 +21,41 @@ onto those rows.
 
 Queries are evaluated in row blocks of _CHUNK rows, each in one (C, K)
 workspace allocated once per call, not a fresh array per block. Each row
-i is shifted by s_i before exponentiating, and the shift is taken inside
-the block's GEMM as one extra column, [q / tau, -s] @ [pool, 1].T, so the
-block is written as shifted logits and then exponentiated in place: no
-pass divides it by tau, takes its row maximum or subtracts one. The
-shift is the positive's logit, so the positive's term is exp(0) = 1 and
-L_i = (s_i - q_i . p_i / tau) + log(sum_exp) is log(1 + sum), never
-negative, and exactly 0 for a row that excludes every column. The sum of
-the negatives' terms is kept apart, and a row whose sum is below 1 takes
-log1p(sum), so a tiny loss keeps its relative accuracy.
+i is shifted by its positive's logit s_i = q_i . p_i / TAU before
+exponentiating, and the shift is taken inside the block's GEMM as one
+extra column, [q / TAU, -s] @ [pool, 1].T, so the block is written as
+shifted logits and then exponentiated in place: no pass divides it by
+TAU, takes its row maximum or subtracts one. The positive's term is
+exp(0) = 1, so L_i = log(1 + sum) of the negatives' terms, never
+negative, and exactly 0 for a row that excludes every column. A row
+whose sum is below 1 takes log1p(sum), so a tiny loss keeps its relative
+accuracy.
 
-A shifted logit is at most the bound less the positive's logit. The
-row's K + 1 exponentials stay finite while that gap is below
-log(DBL_MAX / (K + 1)), less one for rounding: about 700 at K = 4096.
-The gap is at most about 2/tau, so there every row takes the positive's
-logit at tau >= 1/350. Far rows, whose gap exceeds that margin, can only
-occur at smaller tau; they take their exact row maximum instead, from
-one small GEMM over those rows only, and go through the same block code.
-So the loss stays finite at any temperature in (0, 1], which LossConfig
-checks when it is built.
+A shifted logit is a difference of two cosines over TAU, so it is at most
+2 (1 + UNIT_TOL)^2 / TAU, about 5. A row's K + 1 exponentials stay finite
+while that is below log(DBL_MAX / (K + 1)), less one for rounding: about
+687 even for a pool of 2**31 rows. So no pool can overflow a row, and the
+loss is finite for any unit-norm input.
 
 Excluded cells are held as (row, column) index pairs, not as dense
 masks, and set to -inf in the block, so exponentiating zeroes them. The
 exponentials are never normalised in the block; the softmax weights 1 /
-sum_exp scale the (C, M) products taken from it, and the positive term of
-each query is a row update. The sum of the negative similarities (for
+(1 + sum) scale the (C, M) products taken from it, and the positive term
+of each query is a row update. The sum of the negative similarities (for
 mean_negative_sim) is taken in closed form, sum(queries) . sum(pool)
 minus the excluded cells, not from the blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, NotNormalized, check_count
 
 UNIT_TOL = 1e-6
+TAU = 0.4  # the loss temperature of both stages
 # rows per loss block: 64 to 256 rows, or a budget of 2**18 cells, timed
 # alike on the benchmark's shapes (K = 512 to 4096)
 _CHUNK = 128
@@ -65,12 +63,9 @@ _CHUNK = 128
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau: float = 0.4
-    negatives: int = field(kw_only=True)  # rows K of the pool
+    negatives: int  # rows K of the pool
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:  # NaN fails too
-            raise InvalidInput(f"tau must be in (0, 1], got {self.tau}")
         check_count("negatives", self.negatives, 1)
 
 
@@ -145,7 +140,6 @@ def info_nce(
         )
 
     k_pool, m = pool.shape
-    tau = cfg.tau
     # cells that leave the denominator as (row, column) pairs, sorted by row
     if exclude_columns is None:
         dr = dc = np.empty(0, dtype=np.int64)
@@ -156,26 +150,13 @@ def info_nce(
     neg_sim_sum -= float(np.einsum("ij,ij->", queries[dr], pool[dc]))
     neg_count = n * k_pool - dr.size
 
-    pos_logits = pos_sims / tau
-    shift = pos_logits.copy()
-    # A row's K + 1 exponentials sum to a finite value while its logits lie
-    # less than this above the shift (one spare for rounding). Far rows, whose
-    # logit bound is further above their positive's logit, shift by their
-    # exact maximum logit instead.
-    margin = np.log(np.finfo(np.float64).max / (k_pool + 1)) - 1.0
-    far = np.flatnonzero((1.0 + UNIT_TOL) ** 2 / tau - pos_logits > margin)
-    if far.size:
-        logits = (queries[far] / tau) @ pool.T
-        in_far = np.isin(dr, far)
-        logits[np.searchsorted(far, dr[in_far]), dc[in_far]] = -np.inf
-        shift[far] = np.maximum(logits.max(axis=1), pos_logits[far])
-    pos_exp = np.exp(pos_logits - shift)  # 1 on every row but the far ones
+    pos_logits = pos_sims / TAU
     neg_sum = np.zeros(n)
 
     grad_q = np.zeros_like(queries)
     # held transposed: (q * w).T @ block is a faster GEMM than block.T @ (q * w)
     grad_pool_t = np.zeros((m, k_pool))
-    # [q / tau, -shift] @ [pool, 1].T: a block's logits, each row already shifted
+    # [q / TAU, -pos_logit] @ [pool, 1].T: a block's logits, each row already shifted
     pool_aug = np.ones((k_pool, m + 1))
     pool_aug[:, :m] = pool
     q_aug = np.empty((min(_CHUNK, n), m + 1))
@@ -187,8 +168,8 @@ def info_nce(
         lo, hi = np.searchsorted(dr, (start, stop))
 
         qa = q_aug[: stop - start]
-        np.divide(q, tau, out=qa[:, :m])
-        np.negative(shift[start:stop], out=qa[:, m])
+        np.divide(q, TAU, out=qa[:, :m])
+        np.negative(pos_logits[start:stop], out=qa[:, m])
         # shifted logits, then unnormalised exponentials, in place
         ex = np.matmul(qa, pool_aug.T, out=work[: stop - start])
         ex[dr[lo:hi] - start, dc[lo:hi]] = -np.inf
@@ -196,20 +177,20 @@ def info_nce(
         neg_sum[start:stop] = ex.sum(axis=1)
 
         # softmax normalisation scales the (C, M) products, not the block
-        w = (1.0 / (tau * (pos_exp[start:stop] + neg_sum[start:stop])))[:, None]
+        w = (1.0 / (TAU * (1.0 + neg_sum[start:stop])))[:, None]
         grad_q[start:stop] += (ex @ pool) * w
         grad_pool_t += (q * w).T @ ex
 
-    sum_exp = pos_exp + neg_sum
-    per_query = (shift - pos_logits) + np.log(sum_exp)
-    # where the positive's term is 1 that is log(1 + neg_sum), which keeps a
-    # sum below 1 only to about 1e-16 absolute; log1p keeps it to an ulp
-    tiny = np.flatnonzero((pos_exp == 1.0) & (neg_sum < 1.0))
+    sum_exp = 1.0 + neg_sum
+    per_query = np.log(sum_exp)
+    # log(1 + sum) keeps a sum below 1 only to about 1e-16 absolute; log1p
+    # keeps it to an ulp
+    tiny = np.flatnonzero(neg_sum < 1.0)
     per_query[tiny] = np.log1p(neg_sum[tiny])
-    # tau * dL_i / d(q_i . p_i): the positive's softmax weight minus 1
-    pos_coeff = pos_exp / sum_exp - 1.0
-    grad_q += pos_coeff[:, None] * positives / tau
-    grad_p = pos_coeff[:, None] * queries / tau
+    # TAU * dL_i / d(q_i . p_i): the positive's softmax weight minus 1
+    pos_coeff = 1.0 / sum_exp - 1.0
+    grad_q += pos_coeff[:, None] * positives / TAU
+    grad_p = pos_coeff[:, None] * queries / TAU
 
     total = float(per_query.sum())
     if not np.isfinite(total):

@@ -53,8 +53,10 @@ def _positions(shape, at) -> tuple:
     shifts = [(i - 1) * (w + 2) + j - 1 for i in range(3) for j in range(3)]
     if at is None:
         return slice(w + 3, b * (h + 2) * (w + 2) - w - 3), shifts
-    if at.ndim != 1 or at.size == 0:
-        raise InvalidInput(f"at must be a nonempty 1-D array, got shape {at.shape}")
+    if not isinstance(at, np.ndarray):
+        raise InvalidInput(f"at must be a nonempty 1-D integer array, got {type(at).__name__}")
+    if not np.issubdtype(at.dtype, np.integer) or at.ndim != 1 or at.size == 0:
+        raise InvalidInput(f"at must be a nonempty 1-D integer array, got {at.dtype} {at.shape}")
     if at[0] < 0 or at[-1] >= b * h * w or np.any(at[1:] <= at[:-1]):
         raise InvalidInput(f"at must be sorted, unique and within [0, {b * h * w})")
     bi, rest = np.divmod(at, h * w)

@@ -22,6 +22,8 @@ NORM_ABORT = 1e-12  # below this the row is considered corrupt
 def head_forward(head: HeadParams, features: np.ndarray):
     """features (N, D) -> (embeddings (N, M) unit rows, cache)."""
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != head.weight.shape[1]:
+        raise InvalidInput(f"features must be (N, {head.weight.shape[1]}), got {features.shape}")
     if not np.all(np.isfinite(features)):
         raise InvalidInput("features contain non-finite values")
     y = features @ head.weight.T + head.bias

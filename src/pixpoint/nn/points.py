@@ -243,10 +243,15 @@ def point_forward(
     nb (len(rows), k_eff) is as knn_indices gives it; returns (features
     (len(rows), D), cache for backward). The per-point MLP runs only at
     rows and their neighbours."""
-    _check_rows(rows, positions.shape[0])
+    n = positions.shape[0]
+    if colors.shape != positions.shape:
+        raise InvalidInput(f"colors {colors.shape} and positions {positions.shape} differ")
+    _check_rows(rows, n)
     if nb.ndim != 2 or nb.shape[0] != rows.size:
         raise InvalidInput(f"nb must have one row per point of rows, got {nb.shape}")
-    needed = np.zeros(positions.shape[0], dtype=bool)
+    if not np.issubdtype(nb.dtype, np.integer) or nb.min(initial=0) < 0 or nb.max(initial=0) >= n:
+        raise InvalidInput(f"nb must hold integer point indices in [0, {n})")
+    needed = np.zeros(n, dtype=bool)
     needed[rows] = True
     needed[nb] = True
     # a point's row among the needed ones is monotone in its index, so the

@@ -22,7 +22,11 @@ Both stages score a batch through one helper, `_batch_info_nce`. Its
 rows hold the queries, then their positives; the pool is a set of those
 rows, and each query excludes its own row and its own positive from it.
 Stage 1 pools a random subset of its rows, stage 2 a prefix: the points,
-or the points and the pixels.
+or the points and the pixels. Both score at the one loss temperature,
+`loss.TAU`. Stage 1's views come from its configs' TransformSpec2D;
+stage 2 augments each slot's scan by `augment_cloud`'s one recipe, whose
+settings are the `augment` constants ROTATION_RANGE, KEEP_PROB and
+CLOUD_JITTER.
 
 Both run the same SGD loop, `_train`. It owns the optimiser state, the
 random streams, the batch picks, the slot loop, the histories and
@@ -61,11 +65,8 @@ from .augment import (
     ColorJitter,
     Grayscale,
     HorizontalFlip,
-    PointDropout,
     RandomResizedCrop,
-    RotationZ,
     TransformSpec2D,
-    TransformSpec3D,
     augment_cloud,
     augment_image,
     match_positive_pixels,
@@ -98,8 +99,8 @@ POINTS_AND_PIXELS = "points_and_pixels"
 MAX_PAIR_RETRIES = 10
 
 # Width of a scene's neighbour table in multiples of k. A surviving row
-# needs k - 1 survivors among its other 3k - 1 entries; at keep_prob 0.9
-# and k = 8 it falls short with probability about 6e-13.
+# needs k - 1 survivors among its other 3k - 1 entries; at the dropout's
+# KEEP_PROB 0.9 and k = 8 it falls short with probability about 6e-13.
 NEIGHBOUR_TABLE_FACTOR = 3
 
 
@@ -110,16 +111,6 @@ def default_spec_2d(out_size=(64, 64)) -> TransformSpec2D:
             HorizontalFlip(p=0.5),
             ColorJitter(brightness=(0.7, 1.3), contrast=(0.7, 1.3), saturation=(0.7, 1.3)),
             Grayscale(p=0.1),
-        )
-    )
-
-
-def default_spec_3d() -> TransformSpec3D:
-    return TransformSpec3D(
-        (
-            RotationZ(angle_range=(0.0, 2.0 * np.pi - 1e-9)),
-            PointDropout(keep_prob=0.9),
-            ColorJitter(brightness=(0.8, 1.2), contrast=(0.8, 1.2), saturation=(0.8, 1.2)),
         )
     )
 
@@ -153,8 +144,7 @@ class Stage1Config:
         the whole batch.
     seed: the root of every random stream of the run (an int >= 0).
 
-    The loss temperature is `LossConfig`'s default, as `_batch_info_nce`
-    builds the loss config.
+    The loss temperature is `loss.TAU`, the one both stages train at.
     """
 
     batch_pairs: int = 8
@@ -170,6 +160,9 @@ class Stage1Config:
 
     def __post_init__(self):
         _check_stage_config(self, pixels_per_pair=2, negative_cap=1)
+        for name, spec in (("spec_a", self.spec_a), ("spec_b", self.spec_b)):
+            if not isinstance(spec, TransformSpec2D):
+                raise InvalidInput(f"{name} must be a TransformSpec2D, got {type(spec).__name__}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +172,7 @@ class Stage2Config:
     batch_pairs: (scan, image) pairs per iteration, one slot each (>= 1).
     correspondences_per_pair: matched points sampled per slot (>= 2); a
         slot with fewer surviving matches takes them all.
-    voxel_size: the voxel grid's cell side in metres (> 0).
+    voxel_size: the voxel grid's cell side in metres (finite, > 0).
     lr0: the initial SGD learning rate, finite and >= 0; the rest of the
         schedule is fixed in `optim`.
     iterations: SGD steps (>= 1).
@@ -190,9 +183,9 @@ class Stage2Config:
     knn: neighbours per point of the point encoder (>= 1).
     seed: the root of every random stream of the run (an int >= 0).
 
-    The loss temperature is `LossConfig`'s default, as `_batch_info_nce`
-    builds the loss config, and each slot's scan is augmented by
-    `default_spec_3d()`, called once per run by `pretrain_3d`.
+    The loss temperature is `loss.TAU`, the one both stages train at, and
+    each slot's scan is augmented by `augment_cloud`'s one recipe, the
+    `augment` constants ROTATION_RANGE, KEEP_PROB and CLOUD_JITTER.
     """
 
     batch_pairs: int = 8
@@ -210,8 +203,8 @@ class Stage2Config:
         _check_stage_config(self, correspondences_per_pair=2, knn=1)
         if self.negative_source not in (POINTS_ONLY, POINTS_AND_PIXELS):
             raise InvalidInput(f"unknown negative_source {self.negative_source!r}")
-        if not self.voxel_size > 0:  # NaN fails too
-            raise InvalidInput("voxel_size must be positive")
+        if not 0.0 < self.voxel_size < np.inf:  # NaN fails too
+            raise InvalidInput(f"voxel_size must be positive and finite, got {self.voxel_size}")
 
 
 @dataclass
@@ -323,10 +316,10 @@ def _train(stage: int, cfg, enc, head, audit: _NormAudit, items: list, make_slot
 def _batch_info_nce(z: np.ndarray, pool):
     """info_nce of the batch rows z: queries z[:n], their positives z[n:]
     and the pool z[pool], where pool indexes rows of z without repeats (a
-    slice is taken as a view), at `LossConfig`'s default temperature, the
-    only one either stage trains with. Each query excludes its own row and
-    its own positive where they are in the pool. Returns (LossOutput, the
-    gradient of every row of z, the pool's added back onto its rows)."""
+    slice is taken as a view), at the loss temperature `loss.TAU`. Each
+    query excludes its own row and its own positive where they are in the
+    pool. Returns (LossOutput, the gradient of every row of z, the pool's
+    added back onto its rows)."""
     n = z.shape[0] // 2
     negatives = z[pool]
     col_of = np.full(2 * n, -1, dtype=np.int64)
@@ -441,7 +434,7 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     PointCloud object, as the pairs of pairs_from_scene do, share its
     voxelisation and its neighbour table; the cloud is frozen, so this
     equals giving each pair its own copy. Every slot augments its scan by
-    the one `default_spec_3d()` the run calls.
+    `augment_cloud`'s one recipe, the constants of `augment`.
     """
     if not dataset:
         raise InvalidInput("dataset must be nonempty")
@@ -473,13 +466,12 @@ def pretrain_3d(dataset: list, frozen2d, cfg: Stage2Config):
     tables = {}
     # pool rows per query: its points, or its points and their pixels
     pool_width = 1 if cfg.negative_source == POINTS_ONLY else 2
-    spec3d = default_spec_3d()
 
     def make_slot(entry, rng):
         """(the point encoder's rows at the slot's sampled points, its cache,
         their positives)"""
         vox, point_index, targets = entry
-        cloud_aug, index_map = augment_cloud(vox, spec3d, rng)
+        cloud_aug, index_map = augment_cloud(vox, rng)
         rows = index_map[point_index]  # -1 where dropout removed a winner
         alive = np.flatnonzero(rows >= 0)
         if alive.size < 2:

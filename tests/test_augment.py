@@ -8,7 +8,10 @@ replaced, is its exact reference.
 coordinates, and `hash_match` matches two such grids by hashing them into
 unit cells and searching the 3x3 cells around each A pixel's own, which
 hold every point within 0.5 px of it: the reference for the set of pairs
-match_positive_pixels finds.
+match_positive_pixels finds. `stepwise_augment_cloud` applies the scan
+recipe's rotate, drop and jitter steps one at a time, each written out,
+with the recipe's values spelled out: the reference augment_cloud
+equals bit for bit.
 """
 
 from types import SimpleNamespace
@@ -22,11 +25,8 @@ from pixpoint.augment import (
     CoordMap,
     Grayscale,
     HorizontalFlip,
-    PointDropout,
     RandomResizedCrop,
-    RotationZ,
     TransformSpec2D,
-    TransformSpec3D,
     augment_cloud,
     augment_image,
     match_positive_pixels,
@@ -509,6 +509,34 @@ class TestCoordMap:
         assert np.array_equal(cmap.source_axis(1), [0.0, -1.0])
 
 
+def stepwise_augment_cloud(cloud, rng):
+    """The scan recipe one step at a time: rotate every point about z by
+    U[0, 2 pi - 1e-9), drop each point unless U[0, 1) < 0.9 and remap the
+    index map over the survivors, then scale the colours' brightness,
+    contrast and saturation by U[0.8, 1.2) each and clamp."""
+    pos, col = np.array(cloud.positions), np.array(cloud.colors)
+    lab = None if cloud.labels is None else np.array(cloud.labels)
+    index_map = np.arange(len(cloud), dtype=np.int64)
+
+    theta = rng.uniform(0.0, 2.0 * np.pi - 1e-9)
+    c, s = np.cos(theta), np.sin(theta)
+    pos = pos @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+
+    keep = rng.random(pos.shape[0]) < 0.9
+    pos, col = pos[keep], col[keep]
+    lab = None if lab is None else lab[keep]
+    new_of_current = np.full(keep.shape[0], -1, dtype=np.int64)
+    new_of_current[keep] = np.arange(int(keep.sum()))
+    index_map = new_of_current[index_map]
+
+    col = col * rng.uniform(0.8, 1.2)
+    mean = float((col @ augment.LUMA).mean())
+    col = (col - mean) * rng.uniform(0.8, 1.2) + mean
+    luma = (col @ augment.LUMA)[..., None]
+    col = luma + (col - luma) * rng.uniform(0.8, 1.2)
+    return PointCloud(pos, np.clip(col, 0.0, 1.0), lab), index_map
+
+
 class TestAugmentCloud:
     def cloud(self, n=100, seed=0):
         rng = np.random.default_rng(seed)
@@ -516,63 +544,68 @@ class TestAugmentCloud:
             rng.uniform(-1, 1, (n, 3)), rng.uniform(0, 1, (n, 3)), rng.integers(0, 4, n)
         )
 
-    def test_identity_spec(self):
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_equals_the_stepwise_recipe_bit_for_bit(self, seed, labels):
+        c = self.cloud(n=300, seed=seed)
+        if not labels:
+            c = PointCloud(c.positions, c.colors)
+        out, index_map = augment_cloud(c, np.random.default_rng(seed))
+        want, want_map = stepwise_augment_cloud(c, np.random.default_rng(seed))
+        assert np.array_equal(index_map, want_map)
+        assert np.array_equal(out.positions, want.positions)
+        assert np.array_equal(out.colors, want.colors)
+        assert (out.labels is None) == (not labels)
+        if labels:
+            assert np.array_equal(out.labels, want.labels)
+
+    def test_identity_spec(self, monkeypatch):
+        monkeypatch.setattr(augment, "ROTATION_RANGE", (0.0, 0.0))
+        monkeypatch.setattr(augment, "KEEP_PROB", 1.0)
         c = self.cloud()
-        spec = TransformSpec3D((RotationZ((0.0, 0.0)), PointDropout(1.0)))
-        out, index_map = augment_cloud(c, spec, np.random.default_rng(0))
+        out, index_map = augment_cloud(c, np.random.default_rng(0))
         assert np.allclose(out.positions, c.positions)
         assert np.array_equal(index_map, np.arange(100))
 
-    def test_quarter_turn(self):
-        c = PointCloud(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)))
+    def test_quarter_turn(self, monkeypatch):
         halfpi = np.pi / 2.0
-        out, _ = augment_cloud(c, TransformSpec3D((RotationZ((halfpi, halfpi)),)), np.random.default_rng(0))
+        monkeypatch.setattr(augment, "ROTATION_RANGE", (halfpi, halfpi))
+        c = PointCloud(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)))
+        out, _ = augment_cloud(c, np.random.default_rng(0))
         assert np.allclose(out.positions[0], (0.0, 1.0, 0.0), atol=1e-9)
 
-    def test_dropout_survivors_within_3_sigma(self):
+    def test_dropout_survivors_within_3_sigma(self, monkeypatch):
+        monkeypatch.setattr(augment, "KEEP_PROB", 0.5)
         c = self.cloud(n=10_000, seed=1)
-        out, index_map = augment_cloud(c, TransformSpec3D((PointDropout(0.5),)), np.random.default_rng(2))
+        out, index_map = augment_cloud(c, np.random.default_rng(2))
         sigma = np.sqrt(10_000 * 0.25)
         assert abs(len(out) - 5000) < 3 * sigma
         kept = index_map[index_map >= 0]
         assert kept.size == len(out)
         assert np.unique(kept).size == kept.size  # injective
 
-    def test_two_rotations_compose_to_one_about_z(self):
-        c = self.cloud(n=50, seed=3)
-        spec = TransformSpec3D((RotationZ((0.0, 6.0)), RotationZ((0.0, 6.0))))
-        out, _ = augment_cloud(c, spec, np.random.default_rng(7))
-        assert np.allclose(out.positions[:, 2], c.positions[:, 2], atol=1e-12)
-        radius = np.linalg.norm(c.positions[:, :2], axis=1)
-        assert np.allclose(np.linalg.norm(out.positions[:, :2], axis=1), radius, atol=1e-12)
-        # the linear map that best sends the input to the output is one rotation
-        m = np.linalg.lstsq(c.positions, out.positions, rcond=None)[0].T
-        assert np.allclose(c.positions @ m.T, out.positions, atol=1e-12)
-        assert np.allclose(m.T @ m, np.eye(3), atol=1e-12)
-        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
-
-    def test_jitter_clamps_and_keeps_geometry(self):
+    def test_jitter_clamps_and_keeps_geometry(self, monkeypatch):
+        monkeypatch.setattr(augment, "ROTATION_RANGE", (0.0, 0.0))
+        monkeypatch.setattr(augment, "KEEP_PROB", 1.0)
+        monkeypatch.setattr(augment, "CLOUD_JITTER", ColorJitter((0.0, 3.0), (0.0, 3.0), (0.0, 3.0)))
         c = self.cloud(n=200, seed=4)
-        spec = TransformSpec3D((ColorJitter((0.0, 3.0), (0.0, 3.0), (0.0, 3.0)),))
-        out, _ = augment_cloud(c, spec, np.random.default_rng(11))
+        out, _ = augment_cloud(c, np.random.default_rng(11))
         assert out.colors.min() >= 0.0 and out.colors.max() <= 1.0
         assert np.array_equal(out.positions, c.positions)
 
-    def test_all_dropped_raises(self):
+    def test_all_dropped_raises(self, monkeypatch):
+        # keep probability tiny: with this seed every point drops
+        monkeypatch.setattr(augment, "KEEP_PROB", 1e-12)
         c = self.cloud(n=5, seed=5)
         with pytest.raises(EmptyCloud):
-            # keep_prob tiny: with this seed every point drops
-            augment_cloud(c, TransformSpec3D((PointDropout(1e-12),)), np.random.default_rng(0))
+            augment_cloud(c, np.random.default_rng(0))
 
     def test_empty_cloud_raises(self):
         empty = PointCloud(np.empty((0, 3)), np.empty((0, 3)))
         with pytest.raises(InvalidInput, match="^cloud must be nonempty$"):
-            augment_cloud(empty, TransformSpec3D(()), np.random.default_rng(0))
+            augment_cloud(empty, np.random.default_rng(0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PointDropout(0.0)
-        with pytest.raises(ValueError):
-            RotationZ((-1.0, 1.0))
-        with pytest.raises(ValueError):
             RandomResizedCrop((0.0, 1.0), (8, 8))
+

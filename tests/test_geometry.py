@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pixpoint.errors import InvalidInput, PixpointError
+from pixpoint.errors import InvalidInput
 from pixpoint.geometry import (
     CameraIntrinsics,
     CorrespondenceSet,
@@ -217,13 +217,22 @@ def valid_pair_parts():
         lambda: PointCloud(np.zeros((2, 3)), np.zeros((3, 3))),
         lambda: Pose(2.0 * np.eye(3), np.zeros(3)),
         lambda: CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4),
+        lambda: CameraIntrinsics(fx=1.0, fy=np.inf, cx=0.0, cy=0.0, width=4, height=4),
         lambda: CorrespondenceSet(np.arange(1), np.array([np.nan]), np.zeros(1, np.int64)),
         lambda: ScenePair(*valid_pair_parts()[:3], simple_camera(w=8, h=8, f=8.0)),
     ],
-    ids=["Image", "PointCloud", "Pose", "CameraIntrinsics", "CorrespondenceSet", "ScenePair"],
+    ids=[
+        "Image",
+        "PointCloud",
+        "Pose",
+        "CameraIntrinsics",
+        "CameraIntrinsics-inf",
+        "CorrespondenceSet",
+        "ScenePair",
+    ],
 )
 def test_data_classes_raise_a_pixpoint_error(make):
-    with pytest.raises(PixpointError):
+    with pytest.raises(InvalidInput):
         make()
     ScenePair(*valid_pair_parts())
 
@@ -344,7 +353,7 @@ class TestVoxelize:
         assert np.allclose(out.colors[0], 0.3)
         assert np.array_equal(index_map, [0, 0])
 
-    @pytest.mark.parametrize("size", [0.0, -0.05, float("nan")])
+    @pytest.mark.parametrize("size", [0.0, -0.05, float("nan"), float("inf")])
     def test_bad_voxel_size_raises(self, size):
         cloud = PointCloud(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(InvalidInput, match="^voxel_size must be positive"):

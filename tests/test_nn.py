@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from gradcheck import gradient_check
 
-from pixpoint.augment import PointDropout, RotationZ, TransformSpec3D, augment_cloud
+from pixpoint import augment
+from pixpoint.augment import augment_cloud
 from pixpoint.errors import DegenerateEmbedding, InvalidInput, NonFiniteLoss, PixpointError
 from pixpoint.geometry import PointCloud
 from pixpoint.nn import (
@@ -386,6 +387,16 @@ class TestConvAtPositions:
         with pytest.raises(ValueError):
             conv3x3_forward(xp, w, b, at=np.array(at, dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "at", [np.array([True]), np.array([1.0, 2.0]), [1, 2]], ids=["bool", "float", "list"]
+    )
+    def test_encoder_takes_only_an_integer_array(self, at):
+        # a bool array would index pixel 1; a float array or a list failed
+        # with a raw IndexError or AttributeError
+        params = EncoderParams2D.initialize(0, 4)
+        with pytest.raises(InvalidInput, match="^at must be a nonempty 1-D integer array"):
+            encode_images_forward(params, np.zeros((1, 5, 5, 3)), at=at)
+
 
 class TestEncoderDtype:
     """The 2D encoder computes in its parameters' dtype; initialize makes
@@ -566,6 +577,27 @@ class TestPointEncoder:
         nb = knn_indices(cloud.positions, 3)
         with pytest.raises(ValueError, match="nb"):
             point_forward(params, cloud.positions, cloud.colors, nb, np.array([2, 5]))
+
+    @pytest.mark.parametrize("bad", ["negative", "past-end", "float"])
+    def test_rejects_neighbours_outside_the_cloud(self, bad):
+        params = EncoderParams3D.initialize(15, k=3)
+        cloud = self.random_cloud(12, seed=16)
+        rows = np.array([2, 5])
+        nb = knn_indices(cloud.positions, 3, rows=rows)
+        if bad == "float":
+            nb = nb.astype(np.float64)
+        else:
+            nb[1, 2] = -1 if bad == "negative" else 12
+        with pytest.raises(InvalidInput, match=r"^nb must hold integer point indices in \[0, 12\)$"):
+            point_forward(params, cloud.positions, cloud.colors, nb, rows)
+
+    def test_rejects_colours_of_another_cloud(self):
+        params = EncoderParams3D.initialize(15, k=3)
+        cloud = self.random_cloud(12, seed=16)
+        rows = np.array([2, 5])
+        nb = knn_indices(cloud.positions, 3, rows=rows)
+        with pytest.raises(InvalidInput, match="^colors .* and positions .* differ$"):
+            point_forward(params, cloud.positions, cloud.colors[:11], nb, rows)
 
     def test_gradients_certified(self):
         rng = np.random.default_rng(8)
@@ -846,11 +878,12 @@ class TestKnnFromTable:
         assert np.array_equal(got, np.tile(np.arange(kept), (kept, 1)))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_rotated_grid_keeps_the_index_tie_break(self, seed):
+    def test_rotated_grid_keeps_the_index_tie_break(self, seed, monkeypatch):
+        monkeypatch.setattr(augment, "ROTATION_RANGE", (0.1, 6.0))
+        monkeypatch.setattr(augment, "KEEP_PROB", 0.8)
         grid = integer_grid()
         cloud = PointCloud(grid, np.full(grid.shape, 0.5))
-        spec = TransformSpec3D((RotationZ(angle_range=(0.1, 6.0)), PointDropout(keep_prob=0.8)))
-        _, index_map = augment_cloud(cloud, spec, np.random.default_rng(seed))
+        _, index_map = augment_cloud(cloud, np.random.default_rng(seed))
         picked = np.flatnonzero(index_map >= 0)[::3]
         table = knn_indices(grid, 3 * self.K, by_distance=True, rows=picked)
         got = knn_from_table(table, picked, index_map, grid, self.K, picked)
@@ -893,6 +926,12 @@ class TestHead:
         head = HeadParams(np.eye(2), np.zeros(2))
         with pytest.raises(DegenerateEmbedding):
             head_forward(head, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2,), (1, 1, 2)], ids=["wider", "1-d", "3-d"])
+    def test_rejects_features_of_another_width(self, shape):
+        head = HeadParams(np.eye(2), np.zeros(2))
+        with pytest.raises(InvalidInput, match=r"^features must be \(N, 2\)"):
+            head_forward(head, np.ones(shape))
 
     def test_gradients_certified(self):
         rng = np.random.default_rng(13)

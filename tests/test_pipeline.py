@@ -33,16 +33,13 @@ import pytest
 from gradcheck import gradient_check
 from test_nn import brute_knn, float64_params
 
-from pixpoint import optim, pipeline
+from pixpoint import augment, optim, pipeline
 from pixpoint.augment import (
     ColorJitter,
     Grayscale,
     HorizontalFlip,
-    PointDropout,
     RandomResizedCrop,
-    RotationZ,
     TransformSpec2D,
-    TransformSpec3D,
     augment_cloud,
     augment_image,
     match_positive_pixels,
@@ -53,7 +50,6 @@ from pixpoint.errors import (
     InvalidInput,
     IterationStarved,
     NonFiniteLoss,
-    PixpointError,
 )
 from pixpoint.geometry import CameraIntrinsics, Image, PointCloud, Pose, build_correspondences, voxelize
 from pixpoint.loss import LossConfig
@@ -364,7 +360,7 @@ def test_neighbour_tables_match_brute_force_on_a_voxelised_scene(seed):
     table = knn_indices(pos, pipeline.NEIGHBOUR_TABLE_FACTOR * k, by_distance=True, rows=rows)
     assert np.array_equal(table, brute_knn(pos, pipeline.NEIGHBOUR_TABLE_FACTOR * k, by_distance=True)[rows])
 
-    _, index_map = augment_cloud(scan, pipeline.default_spec_3d(), rng_for(seed, "dropout"))
+    _, index_map = augment_cloud(scan, rng_for(seed, "dropout"))
     survivors = index_map >= 0
     assert 0 < (~survivors).sum() and survivors.sum() > k
     points = winners[0][survivors[winners[0]]]
@@ -462,10 +458,10 @@ def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypa
     un-augmented voxelised scan that survived, and its positive is the
     frozen embedding at that winner's pixel."""
     index_maps, rows, positives = [], [], []
-    augment, forward, loss = pipeline.augment_cloud, pipeline.point_forward, pipeline.info_nce
+    real_augment, forward, loss = pipeline.augment_cloud, pipeline.point_forward, pipeline.info_nce
 
     def recording_augment(*args):
-        out = augment(*args)
+        out = real_augment(*args)
         index_maps.append(out[1])
         return out
 
@@ -480,8 +476,7 @@ def test_slot_matches_are_the_scans_surviving_z_buffer_winners(dataset, monkeypa
     monkeypatch.setattr(pipeline, "augment_cloud", recording_augment)
     monkeypatch.setattr(pipeline, "point_forward", recording_forward)
     monkeypatch.setattr(pipeline, "info_nce", recording_loss)
-    spec = TransformSpec3D((RotationZ((0.0, 6.0)), PointDropout(0.5)))
-    monkeypatch.setattr(pipeline, "default_spec_3d", lambda: spec)
+    monkeypatch.setattr(augment, "KEEP_PROB", 0.5)
     _, report = run_stage2(dataset)
     assert report.skipped == 0  # so slot j of the run is the j-th of each record
 
@@ -542,7 +537,7 @@ def test_stage2_slot_replays_from_seed_iteration_and_slot(dataset, monkeypatch):
     frozen = (EncoderParams2D.initialize(5, DIMS), HeadParams.initialize(5, DIMS, DIMS))
     point_index, targets = pipeline.frozen_pixel_embeddings(*frozen, pair, scan)
     rng = rng_for(cfg.seed, "stage2", it).spawn(cfg.batch_pairs)[k]
-    cloud, index_map = augment_cloud(scan, pipeline.default_spec_3d(), rng)
+    cloud, index_map = augment_cloud(scan, rng)
     rows = index_map[point_index]
     alive = np.flatnonzero(rows >= 0)
     n_take = min(cfg.correspondences_per_pair, alive.size)
@@ -615,6 +610,9 @@ def test_config_rejects_counts_below_one(config, field, least):
         lambda: pipeline.Stage2Config(correspondences_per_pair=1),
         lambda: pipeline.Stage2Config(negative_source="pixels_only"),
         lambda: pipeline.Stage2Config(voxel_size=float("nan")),
+        lambda: pipeline.Stage2Config(voxel_size=float("inf")),
+        lambda: pipeline.Stage1Config(spec_a=None),
+        lambda: pipeline.Stage1Config(spec_b=(HorizontalFlip(),)),
         lambda: pipeline.Stage2Config(knn=0),
         lambda: pipeline.Stage1Config(feature_dim=0),
         lambda: pipeline.Stage2Config(feature_dim=0),
@@ -623,11 +621,11 @@ def test_config_rejects_counts_below_one(config, field, least):
         lambda: RandomResizedCrop(scale_range=(0.0, 1.0), out_size=(8, 8)),
         lambda: HorizontalFlip(p=1.5),
         lambda: ColorJitter(brightness=(1.2, 0.8)),
+        lambda: ColorJitter(brightness=(0.5, np.inf)),
+        lambda: ColorJitter(contrast=(0.5,)),
+        lambda: RandomResizedCrop(scale_range=(0.4, 0.8, 1.0), out_size=(8, 8)),
         lambda: Grayscale(p=-0.1),
-        lambda: TransformSpec2D((RotationZ(),)),
-        lambda: RotationZ(angle_range=(0.0, 7.0)),
-        lambda: PointDropout(keep_prob=0.0),
-        lambda: TransformSpec3D((HorizontalFlip(),)),
+        lambda: TransformSpec2D((object(),)),
         lambda: pipeline.Stage1Config(lr0=-0.1),
         lambda: pipeline.Stage2Config(lr0=float("inf")),
         lambda: lr_schedule(-1, 0.1),
@@ -643,6 +641,9 @@ def test_config_rejects_counts_below_one(config, field, least):
         "Stage2Config",
         "Stage2Config-negatives",
         "Stage2Config-voxel",
+        "Stage2Config-voxel-inf",
+        "Stage1Config-spec_a",
+        "Stage1Config-spec_b",
         "Stage2Config-knn",
         "Stage1Config-feature_dim",
         "Stage2Config-feature_dim",
@@ -651,11 +652,11 @@ def test_config_rejects_counts_below_one(config, field, least):
         "RandomResizedCrop",
         "HorizontalFlip",
         "ColorJitter",
+        "ColorJitter-inf",
+        "ColorJitter-one-entry",
+        "RandomResizedCrop-three-entries",
         "Grayscale",
         "TransformSpec2D",
-        "RotationZ",
-        "PointDropout",
-        "TransformSpec3D",
         "Stage1Config-lr0",
         "Stage2Config-lr0",
         "lr_schedule",
@@ -667,7 +668,7 @@ def test_config_rejects_counts_below_one(config, field, least):
     ],
 )
 def test_configs_and_transforms_raise_a_pixpoint_error(make):
-    with pytest.raises(PixpointError):
+    with pytest.raises(InvalidInput):
         make()
 
 
